@@ -93,7 +93,7 @@ let teccl topo coll =
       match o.Teccl.schedules with
       | None -> None
       | Some ss ->
-          let time = Teccl.simulate topo ss in
+          let time = Sim.phases_time topo ss in
           Some { busbw = C.busbw coll ~time; time; synth = o.Teccl.synth_time })
 
 let nccl ?blocks topo coll =
@@ -162,7 +162,7 @@ let fig15b () =
         match o.Teccl.schedules with
         | None -> None
         | Some ss ->
-            let time = Teccl.simulate ~blocks:2 topo ss in
+            let time = Sim.phases_time ~blocks:2 topo ss in
             Some { busbw = C.busbw coll ~time; time; synth = o.Teccl.synth_time }
       in
       let s = syccl ~tag:"512" topo coll in
@@ -988,76 +988,6 @@ let emit_and_check_trace path =
   Printf.printf "\ntrace: wrote %s (%d events, round-trip OK)\n%!" path
     (List.length evs)
 
-(* --- lower: MSCCL lowering/parse/replay throughput ----------------------- *)
-
-(* How much the executable-lowering path costs per collective: building the
-   per-threadblock step program (Msccl.lower), rendering XML, parsing it
-   back, and the adversarial replay (Msccl_interp.replay) that gates
-   serving under `syccl lower --check`.  Any replay divergence fails the
-   bench — this doubles as a throughput-sized soak of the oracle. *)
-let bench_lower () =
-  Printf.printf "\n== bench lower: schedule -> MSCCL program -> replay ==\n";
-  let module Msccl = Syccl_sim.Msccl in
-  let module Interp = Syccl_sim.Msccl_interp in
-  let topo = Builders.a100 ~servers:2 in
-  let n = T.num_gpus topo in
-  let iters = if !full then 50 else if !smoke then 2 else 10 in
-  let size = 1.048576e6 in
-  let kinds =
-    [ C.SendRecv; C.Broadcast; C.Scatter; C.Gather; C.Reduce; C.AllGather;
-      C.AllToAll; C.ReduceScatter; C.AllReduce ]
-  in
-  Printf.printf "%13s | %6s %7s | %9s %9s %9s %9s\n" "collective" "steps"
-    "xml_kb" "lower_ms" "emit_ms" "parse_ms" "replay_ms";
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    1e3 *. (Unix.gettimeofday () -. t0) /. float_of_int iters
-  in
-  List.iter
-    (fun kind ->
-      let coll = C.make kind ~root:0 ~peer:1 ~n ~size in
-      let phases = C.phases coll in
-      let schedules = Nccl.schedule topo coll in
-      let lower_all () =
-        List.map2 (fun ph s -> Msccl.lower ~coll:ph s) phases schedules
-      in
-      let progs = lower_all () in
-      let xmls = List.map Msccl.emit progs in
-      let steps = List.fold_left (fun a p -> a + Msccl.num_steps p) 0 progs in
-      let bytes =
-        List.fold_left (fun a x -> a + String.length x) 0 xmls
-      in
-      let lower_ms = timed (fun () -> ignore (lower_all ())) in
-      let emit_ms =
-        timed (fun () -> List.iter (fun p -> ignore (Msccl.emit p)) progs)
-      in
-      let parse_ms =
-        timed (fun () ->
-            List.iter
-              (fun x ->
-                match Msccl.of_xml x with
-                | Ok _ -> ()
-                | Error e -> failwith ("bench lower: parse: " ^ e))
-              xmls)
-      in
-      let replay_ms =
-        timed (fun () ->
-            List.iter2
-              (fun s p ->
-                match Interp.replay s p with
-                | Ok () -> ()
-                | Error e -> failwith ("bench lower: divergence: " ^ e))
-              schedules progs)
-      in
-      Printf.printf "%13s | %6d %7.1f | %9.3f %9.3f %9.3f %9.3f\n%!"
-        (C.kind_name kind) steps
-        (float_of_int bytes /. 1024.0)
-        lower_ms emit_ms parse_ms replay_ms)
-    kinds
-
 (* --- Driver ------------------------------------------------------------- *)
 
 let targets =
@@ -1069,7 +999,6 @@ let targets =
     ("tab6", tab6); ("fig21a", fig21a); ("fig21b", fig21b); ("fig22a", fig22a);
     ("milp", bench_milp);
     ("fleet", bench_fleet);
-    ("lower", bench_lower);
     ("report", bench_report);
   ]
 

@@ -109,10 +109,10 @@ let audit_arg =
     & info [ "audit" ] ~docv:"FILE"
         ~doc:
           "Append one audit JSONL record per request element to $(docv) \
-           (plan decision, registry probe outcome with miss reason, ladder \
-           rung, budget vs consumed, solver counter deltas).  Defaults to \
-           $(i,REGISTRY)/audit.jsonl when a registry is active; pass \
-           $(b,--audit none) to disable.")
+           (how it was served, registry probe outcome with miss reason, \
+           ladder rung, budget vs consumed, solver counter deltas).  \
+           Defaults to $(i,REGISTRY)/audit.jsonl when a registry is \
+           active; pass $(b,--audit none) to disable.")
 
 (* --audit FILE beats the registry-adjacent default; "none" disables. *)
 let audit_of registry = function
@@ -211,9 +211,11 @@ let counters_json () =
 
 (* Machine-readable run report: outcome + breakdown + every counter and
    histogram, as one JSON object. *)
-let stats_json (o : Syccl.Synthesizer.outcome) =
+let stats_json (so : Serve.outcome) =
   let open Syccl_util.Json in
+  let o = so.Serve.synth in
   let b = o.breakdown in
+  let registry_hits, registry_misses = Serve.registry_counts so in
   let int i = Num (float_of_int i) in
   let counters, hists = counters_json () in
   Obj
@@ -240,8 +242,8 @@ let stats_json (o : Syccl.Synthesizer.outcome) =
             ("milp_solves", int b.milp_solves);
             ("milp_nodes", int b.milp_nodes);
             ("flow_certified", int b.flow_certified);
-            ("registry_hits", int b.registry_hits);
-            ("registry_misses", int b.registry_misses);
+            ("registry_hits", int registry_hits);
+            ("registry_misses", int registry_misses);
           ] );
       ("counters", counters);
       ("histograms", hists);
@@ -325,8 +327,8 @@ let synth_cmd =
           | Registry.Scaled_cross -> " (rescaled cross-bucket)")
           (Registry.dir reg) (stored_cost *. 1e6)
     | Some reg, Serve.From_synthesis ->
-        Format.printf "registry:   miss in %s (stored for next time)@."
-          (Registry.dir reg));
+        Format.printf "registry:   miss in %s (%s)@." (Registry.dir reg)
+          (if so.Serve.stored then "stored for next time" else "not stored"));
     Format.printf "synthesis:  %.2fs (search %.2fs, combine %.2fs, solve1 %.2fs, solve2 %.2fs)@."
       o.synth_time o.breakdown.search_s o.breakdown.combine_s
       o.breakdown.solve1_s o.breakdown.solve2_s;
@@ -362,7 +364,7 @@ let synth_cmd =
         export_trace path);
     if stats then print_stats ();
     if metrics then print_metrics ();
-    Option.iter (fun p -> write_stats_json p o) sjson;
+    Option.iter (fun p -> write_stats_json p so) sjson;
     write_metrics_out mout
   in
   let verbose =
@@ -387,11 +389,7 @@ let synth_cmd =
    report it: the schedules and chosen description are stored; the cost is
    freshly re-simulated at the entry's store-time fidelity. *)
 let entry_outcome topo (m : Registry.meta) schedules =
-  let time =
-    List.fold_left
-      (fun a s -> a +. S.Sim.time ~blocks:m.Registry.m_blocks topo s)
-      0.0 schedules
-  in
+  let time = S.Sim.phases_time ~blocks:m.Registry.m_blocks topo schedules in
   let coll =
     C.make ~root:m.Registry.m_root ~peer:m.Registry.m_peer
       (C.kind_of_name m.Registry.m_kind)
@@ -402,13 +400,7 @@ let entry_outcome topo (m : Registry.meta) schedules =
     time;
     busbw = C.busbw coll ~time;
     synth_time = 0.0;
-    breakdown =
-      {
-        Syccl.Synthesizer.search_s = 0.0; combine_s = 0.0; solve1_s = 0.0;
-        solve2_s = 0.0; cache_hits = 0; cache_misses = 0; milp_solves = 0;
-        milp_nodes = 0; flow_certified = 0; registry_hits = 1;
-        registry_misses = 0;
-      };
+    breakdown = Syccl.Synthesizer.zero_breakdown;
     num_sketches = 0;
     num_combos = 0;
     chosen = m.Registry.m_chosen;
@@ -592,7 +584,7 @@ let lower_cmd =
     let registry = registry_of rdir in
     (* The lowering check runs inside Serve on the schedules as served:
        registry hits (transported/rescaled included) and degraded rungs
-       (Rerouted, fallback) are lowered exactly as the plan resolved them,
+       (Rerouted, fallback) are lowered exactly as Serve resolved them,
        never re-synthesized. *)
     let lower (r : Request.t) (o : Syccl.Synthesizer.outcome) =
       if not check then Ok ()
@@ -856,7 +848,7 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Execute a JSONL request file through the request→plan→execute \
+         "Execute a JSONL request file through the request→probe→execute \
           pipeline: duplicates are deduped, registry hits are served after \
           re-validation, misses are synthesized concurrently on the \
           persistent pool and stored back.")
@@ -929,7 +921,8 @@ let warm_cmd =
               r.Request.coll.C.size so.Serve.synth.Syccl.Synthesizer.busbw
               (match so.Serve.source with
               | Serve.From_registry _ -> "hit"
-              | Serve.From_synthesis -> "stored"))
+              | Serve.From_synthesis when so.Serve.stored -> "stored"
+              | Serve.From_synthesis -> "not stored"))
           requests outcomes
     | Some k ->
         (* Fault-class warming: one synthesis per stabilizer orbit of
@@ -1266,18 +1259,16 @@ let registry_cmd =
           keys;
         Format.printf "%s: %d entries, %d bytes, %d corrupt@."
           (Registry.dir reg) (List.length keys) !total_bytes !corrupt;
-        let layout = Registry.layout_stats reg in
-        Format.printf
-          "layout:     v%s, %d sharded in %d shard dir%s, %d legacy flat%s@."
+        let shards =
+          List.length
+            (List.sort_uniq compare (List.map Registry.shard_of_key keys))
+        in
+        Format.printf "layout:     v%s, %d entries in %d shard dir%s@."
           (match Registry.manifest reg with
           | Ok v -> string_of_int v
           | Error e -> "? (" ^ e ^ ")")
-          layout.Registry.sharded layout.Registry.shards_in_use
-          (if layout.Registry.shards_in_use = 1 then "" else "s")
-          layout.Registry.flat
-          (if layout.Registry.flat > 0 then
-             " (run `syccl registry compact` to migrate)"
-           else "");
+          (List.length keys) shards
+          (if shards = 1 then "" else "s");
         List.iter
           (fun (k, (n, b)) -> Format.printf "  %-28s %4d entries %10d bytes@." k n b)
           (List.sort compare !buckets);
@@ -1388,9 +1379,9 @@ let registry_cmd =
         in
         let s = Registry.compact reg ?max_entries ?max_bytes ~last_used () in
         Format.printf
-          "compacted %s: %d migrated, %d corrupt removed, %d dominated \
-           pruned, %d evicted; %d entr%s (%d bytes) kept@."
-          (Registry.dir reg) s.Registry.migrated s.Registry.corrupt_removed
+          "compacted %s: %d corrupt removed, %d dominated pruned, %d \
+           evicted; %d entr%s (%d bytes) kept@."
+          (Registry.dir reg) s.Registry.corrupt_removed
           s.Registry.dominated_removed s.Registry.evicted s.Registry.kept
           (if s.Registry.kept = 1 then "y" else "ies")
           s.Registry.kept_bytes
@@ -1453,9 +1444,9 @@ let registry_cmd =
           pass over every entry ($(b,verify)) — corrupt, invalid or \
           cost-regressed entries are reported, never deleted, and the \
           command exits non-zero — or offline compaction ($(b,compact)): \
-          migrate legacy flat entries into shards, delete corrupt \
-          entries, prune transport-dominated duplicates, and evict by \
-          audit-trail recency to $(b,--max-entries)/$(b,--max-bytes).")
+          delete corrupt entries, prune transport-dominated duplicates, \
+          and evict by audit-trail recency to \
+          $(b,--max-entries)/$(b,--max-bytes).")
     Term.(
       const run $ action $ key $ registry_arg $ topo $ max_entries
       $ max_bytes)

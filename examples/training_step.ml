@@ -23,7 +23,7 @@ let () =
         match
           (Syccl_teccl.Teccl.synthesize ~time_budget:30.0 topo coll).schedules
         with
-        | Some ss -> Syccl_teccl.Teccl.simulate topo ss
+        | Some ss -> Syccl_sim.Sim.phases_time topo ss
         | None -> nccl coll
       in
       let syccl coll = (Syccl.Synthesizer.synthesize ~config topo coll).time in

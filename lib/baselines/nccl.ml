@@ -4,14 +4,11 @@ module Schedule = Syccl_sim.Schedule
 module Sim = Syccl_sim.Sim
 module Validate = Syccl_sim.Validate
 
-let phase_time ?blocks topo phases =
-  List.fold_left (fun acc s -> acc +. Sim.time ?blocks topo s) 0.0 phases
-
 let best ?blocks topo candidates =
   match candidates with
   | [] -> invalid_arg "Nccl.best: no candidates"
   | first :: rest ->
-      let score c = phase_time ?blocks topo c in
+      let score c = Sim.phases_time ?blocks topo c in
       List.fold_left
         (fun (bc, bt) c ->
           let t = score c in
@@ -135,6 +132,6 @@ let schedule topo coll =
          reduction where the demand asks for a concatenation. *)
       [ Direct.from_chunks topo (Direct.gather_metas coll) ]
 
-let time ?blocks topo coll = phase_time ?blocks topo (schedule topo coll)
+let time ?blocks topo coll = Sim.phases_time ?blocks topo (schedule topo coll)
 
 let busbw ?blocks topo coll = Collective.busbw coll ~time:(time ?blocks topo coll)

@@ -33,10 +33,6 @@ let failf fmt = Format.kasprintf (fun s -> Fail s) fmt
 
 let pp_schedule s = Format.asprintf "%a" Schedule.pp s
 
-(* Sequential-phase completion time, the accounting every comparator
-   shares. *)
-let sim_phases ?blocks topo schedules = Teccl.simulate ?blocks topo schedules
-
 let rel_close ~tol a b =
   let denom = Float.max (Float.abs a) (Float.max (Float.abs b) 1e-30) in
   Float.abs (a -. b) <= tol *. denom
@@ -202,8 +198,8 @@ let prop_automorphism_transport ctx =
       match Validate.validate topo coll' schedules' with
       | Error e -> failf "transported schedule invalid: %s" e
       | Ok () ->
-          let t = sim_phases topo schedules in
-          let t' = sim_phases topo schedules' in
+          let t = Sim.phases_time topo schedules in
+          let t' = Sim.phases_time topo schedules' in
           if not (rel_close ~tol:1e-9 t t') then
             failf "transport changes cost: %g -> %g" t t'
           else Pass)
@@ -224,7 +220,7 @@ let prop_generators_agree ctx =
       match Refcheck.covers topo coll schedules with
       | Error e -> failf "generator schedule fails reference checker: %s" e
       | Ok () -> (
-          match sim_phases topo schedules with
+          match Sim.phases_time topo schedules with
           | (_ : float) -> Pass
           | exception e ->
               failf "generator schedule fails simulator: %s"
@@ -336,7 +332,7 @@ let prop_registry_fidelity ctx =
   Fun.protect
     ~finally:(fun () -> Registry.destroy reg)
     (fun () ->
-      let cost = sim_phases ~blocks:b_store topo schedules in
+      let cost = Sim.phases_time ~blocks:b_store topo schedules in
       Registry.store reg topo coll ~blocks:b_store ~cost
         ~chosen:"fuzz-fallback" schedules;
       match Registry.lookup reg ~blocks:b_probe topo coll with
@@ -351,7 +347,7 @@ let prop_registry_fidelity ctx =
           else if
             not
               (rel_close ~tol:1e-9 hit.Registry.time
-                 (sim_phases ~blocks:b_probe topo schedules))
+                 (Sim.phases_time ~blocks:b_probe topo schedules))
           then
             failf "hit time %g is not the probe-fidelity resimulation"
               hit.Registry.time
@@ -394,7 +390,7 @@ let prop_registry_transport ctx =
           ~size:src.Collective.size
       in
       let schedules = Syccl_baselines.Fallback.schedule topo src in
-      let cost = sim_phases topo schedules in
+      let cost = Sim.phases_time topo schedules in
       let dir = temp_registry_dir rng in
       let reg = Registry.open_dir dir in
       Fun.protect
@@ -513,7 +509,9 @@ let prop_oracle ctx =
               match Validate.validate topo coll schedules with
               | Error e -> Error (name, e)
               | Ok () ->
-                  check_all ((name, tol, sim_phases topo schedules) :: acc) rest)
+                  check_all
+                    ((name, tol, Sim.phases_time topo schedules) :: acc)
+                    rest)
         in
         (match check_all [] comparators with
         | Error (name, e) -> failf "oracle: %s baseline invalid: %s" name e
@@ -683,8 +681,8 @@ let prop_fault_orbit_transport ctx =
                          [%s]: %s"
                         (Fault.encode faults') e
                   | Ok () ->
-                      let t = sim_phases punctured rerouted in
-                      let t' = sim_phases punctured' transported in
+                      let t = Sim.phases_time punctured rerouted in
+                      let t' = Sim.phases_time punctured' transported in
                       if not (rel_close ~tol:1e-9 t t') then
                         failf "fault-orbit transport changes cost: %g -> %g" t
                           t'

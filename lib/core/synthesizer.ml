@@ -63,8 +63,6 @@ type breakdown = {
   milp_solves : int;
   milp_nodes : int;
   flow_certified : int;
-  registry_hits : int;
-  registry_misses : int;
 }
 
 type outcome = {
@@ -91,8 +89,6 @@ let zero_breakdown =
     milp_solves = 0;
     milp_nodes = 0;
     flow_certified = 0;
-    registry_hits = 0;
-    registry_misses = 0;
   }
 
 let add_breakdown a b =
@@ -106,8 +102,6 @@ let add_breakdown a b =
     milp_solves = a.milp_solves + b.milp_solves;
     milp_nodes = a.milp_nodes + b.milp_nodes;
     flow_certified = a.flow_certified + b.flow_certified;
-    registry_hits = a.registry_hits + b.registry_hits;
-    registry_misses = a.registry_misses + b.registry_misses;
   }
 
 let timed f =
@@ -668,10 +662,7 @@ let fallback_outcome ~t0 ~reason config topo coll =
   Trace.instant "synth.fallback" ~args:[ ("reason", reason) ];
   let schedules = Syccl_baselines.Fallback.schedule topo coll in
   let time =
-    try
-      List.fold_left
-        (fun a s -> a +. Sim.time ~blocks:config.blocks topo s)
-        0.0 schedules
+    try Sim.phases_time ~blocks:config.blocks topo schedules
     with _ -> Float.nan
   in
   {
@@ -697,10 +688,7 @@ let rerouted_outcome ~t0 ~reason config topo coll =
   let healthy = Syccl_baselines.Fallback.schedule (Topology.base topo) coll in
   let schedules = Reroute.schedules topo healthy in
   let time =
-    try
-      List.fold_left
-        (fun a s -> a +. Sim.time ~blocks:config.blocks topo s)
-        0.0 schedules
+    try Sim.phases_time ~blocks:config.blocks topo schedules
     with _ -> Float.nan
   in
   {

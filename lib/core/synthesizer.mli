@@ -60,16 +60,16 @@ type breakdown = {
       (** MILP solves stopped early because the incumbent met the
           multi-commodity-flow lower bound (within-ε-of-flow-optimal
           certificate; see {!Syccl_teccl.Epoch_model.solve}) *)
-  registry_hits : int;
-      (** persistent schedule-registry hits serving this outcome (filled in
-          by {!Syccl_serve.Serve}; always 0 on a bare [synthesize]) *)
-  registry_misses : int;  (** registry probes that had to fall through *)
 }
 (** Wall-clock per synthesis step (Fig. 16b) plus solver/cache activity.
     The activity fields are deltas of the process-wide {!Syccl_util.Counters}
     cells taken around the call: exact for a lone [synthesize], attributed
     to the whole sweep element when calls run concurrently (the counters
     are shared). *)
+
+val zero_breakdown : breakdown
+(** No time spent, no solver activity: the breakdown of an outcome that
+    ran no synthesis stage (a registry hit, a baseline rung). *)
 
 type outcome = {
   schedules : Syccl_sim.Schedule.t list;  (** one per collective phase *)

@@ -69,6 +69,12 @@ let record_of_json j =
   let str name = Json.to_str (Json.member name j) in
   let num name = Json.to_float (Json.member name j) in
   let int name = Json.to_int (Json.member name j) in
+  let bool name =
+    match Json.member name j with
+    | Json.Bool b -> b
+    | _ ->
+        raise (Json.Parse_error (Printf.sprintf "%S must be a boolean" name))
+  in
   let opt name to_v =
     match Json.member name j with Json.Null -> None | v -> Some (to_v v)
   in
@@ -81,8 +87,7 @@ let record_of_json j =
     ts = num "ts";
     key = str "key";
     fingerprint = str "fingerprint";
-    (* Records predating the field were all written on healthy topologies. *)
-    faults = (match opt "faults" Json.to_str with None -> "" | Some s -> s);
+    faults = Option.value (opt "faults" Json.to_str) ~default:"";
     topology = str "topology";
     collective = str "collective";
     size = num "size";
@@ -95,25 +100,14 @@ let record_of_json j =
     consumed_s = num "consumed_s";
     time_s = num "time_s";
     busbw = num "busbw_gbps";
-    stored = (match Json.member "stored" j with
-              | Json.Bool b -> b
-              | _ -> raise (Json.Parse_error "\"stored\" must be a boolean"));
+    stored = bool "stored";
     cache_hits = int "cache_hits";
     cache_misses = int "cache_misses";
     milp_solves = int "milp_solves";
     milp_nodes = int "milp_nodes";
     flow_certified = int "flow_certified";
-    (* Records predating the executor-level lowering oracle never checked. *)
-    lowered = (match Json.member "lowered" j with
-               | Json.Bool b -> b
-               | Json.Null -> false
-               | exception Json.Parse_error _ -> false
-               | _ -> raise (Json.Parse_error "\"lowered\" must be a boolean"));
-    lower_check =
-      (match Json.member "lower_check" j with
-      | exception Json.Parse_error _ -> None
-      | Json.Null -> None
-      | v -> Some (Json.to_str v));
+    lowered = bool "lowered";
+    lower_check = opt "lower_check" Json.to_str;
   }
 
 (* --- the sink ------------------------------------------------------------ *)

@@ -19,16 +19,19 @@ type record = {
   fingerprint : string;  (** topology structure identity (folds in faults) *)
   faults : string;
       (** canonical {!Syccl_topology.Fault.encode} string of the request's
-          fault set ([""] when healthy, and for records predating the
-          field) — the human-readable half of the (fingerprint ×
-          fault-class) provenance *)
+          fault set ([""] when healthy) — the human-readable half of the
+          (fingerprint × fault-class) provenance *)
   topology : string;  (** request topology name *)
   collective : string;  (** lowercase collective kind *)
   size : float;
-  plan : string;  (** {!Plan.describe}: how the request was satisfied *)
+  plan : string;
+      (** how {!Serve} satisfied the request: ["synthesize"],
+          ["registry-hit"], or ["registry-hit(VIA)"] for a rescaled,
+          transported or cross-bucket hit *)
   probe : string;
-      (** {!Plan.probe_name}: ["none"], ["hit"], ["hit.scaled"], or
-          ["miss.absent"|"corrupt"|"invalid"|"slower"] *)
+      (** the registry's verdict: ["none"] (no registry), ["hit"],
+          ["hit.VIA"], or ["miss.REASON"] with a
+          {!Registry.miss_reason_name} *)
   hit_key : string option;  (** registry entry key, on a hit *)
   rung : string;
       (** degradation-ladder rung:
@@ -38,7 +41,9 @@ type record = {
   consumed_s : float;  (** synthesis wall time actually spent *)
   time_s : float;  (** α-β simulated schedule cost, seconds *)
   busbw : float;  (** bus bandwidth, GB/s *)
-  stored : bool;  (** result was persisted back into the registry *)
+  stored : bool;
+      (** the result was persisted into the registry (a store that failed
+          is [false]) *)
   cache_hits : int;  (** solver counter deltas, from the outcome breakdown *)
   cache_misses : int;
   milp_solves : int;
@@ -46,8 +51,7 @@ type record = {
   flow_certified : int;
   lowered : bool;
       (** an executor-level lowering check ({!Syccl_sim.Msccl_interp}) ran
-          over the served schedules ([false] for records predating the
-          field) *)
+          over the served schedules *)
   lower_check : string option;
       (** ["ok"], or the first lowering divergence found *)
 }
@@ -58,7 +62,8 @@ val record_to_json : record -> Syccl_util.Json.t
 
 val record_of_json : Syccl_util.Json.t -> record
 (** Inverse of {!record_to_json}; raises [Syccl_util.Json.Parse_error] on
-    malformed records or an unsupported schema version. *)
+    malformed records, any missing field, or an unsupported schema
+    version. *)
 
 (** {1 Sink} *)
 

@@ -112,11 +112,6 @@ type stats = {
   skipped_demand : int;
 }
 
-let simulate ~blocks topo schedules =
-  List.fold_left
-    (fun a s -> a +. (Sim.time ~blocks topo s : float))
-    0.0 schedules
-
 let warm ~registry ?audit ?(config = Synthesizer.default_config) ~topology
     ~collective ~size k =
   let healthy = Request.make ~config ~topology ~collective ~size () in
@@ -195,7 +190,7 @@ let warm ~registry ?audit ?(config = Synthesizer.default_config) ~topology
                 | Error _ -> resynthesize member
                 | Ok () -> (
                     let blocks = config.Synthesizer.blocks in
-                    let cost = simulate ~blocks member_topo schedules in
+                    let cost = Sim.phases_time ~blocks member_topo schedules in
                     match
                       Registry.store registry member_topo coll ~blocks ~cost
                         ~chosen:(synth.Synthesizer.chosen ^ "+transport")

@@ -57,7 +57,7 @@ type family = {
   anchors : int;  (** anchor requests issued (collectives × sizes) *)
   stored : int;  (** anchors synthesized and persisted *)
   already_hit : int;  (** anchors the registry already served *)
-  failed : int;  (** anchors that came back degraded — not persisted *)
+  failed : int;  (** anchors synthesized but not persisted *)
 }
 
 type stats = {
@@ -90,12 +90,7 @@ let warm ~registry ?audit ?(config = Synthesizer.default_config)
               match o.Serve.source with
               | Serve.From_registry _ -> (s, h + 1, f)
               | Serve.From_synthesis ->
-                  if
-                    o.Serve.synth.Synthesizer.degraded = Synthesizer.Full
-                    && not config.Synthesizer.fast_only
-                    && o.Serve.synth.Synthesizer.schedules <> []
-                  then (s + 1, h, f)
-                  else (s, h, f + 1))
+                  if o.Serve.stored then (s + 1, h, f) else (s, h, f + 1))
             (0, 0, 0) outcomes
         in
         {

@@ -42,7 +42,9 @@ type family = {
   anchors : int;  (** anchor requests issued (collectives × sizes) *)
   stored : int;  (** anchors synthesized and persisted *)
   already_hit : int;  (** anchors the registry already served *)
-  failed : int;  (** anchors that came back degraded — not persisted *)
+  failed : int;
+      (** anchors synthesized but not persisted: degraded, fast-only, or
+          the store failed *)
 }
 
 type stats = {

@@ -53,9 +53,7 @@ let atomic_write ~dir:d path body =
 (* Layout v2: entries live under 256 shard directories named by the first
    two hex characters of the entry key (git-object style), so concurrent
    writers from many processes spread their renames across directories
-   instead of contending on one.  Layout v1 was a flat directory of
-   <key>.json files; reads fall back to the flat path transparently, and
-   [compact]/[migrate] move stragglers into their shards. *)
+   instead of contending on one. *)
 let layout_version = 2
 let shard_prefix_len = 2
 let manifest_name = "MANIFEST.json"
@@ -67,17 +65,6 @@ let shard_of_key k =
 
 let shard_dir t k = Filename.concat t.root (shard_of_key k)
 let shard_path t k = Filename.concat (shard_dir t k) (k ^ ".json")
-let flat_path t k = Filename.concat t.root (k ^ ".json")
-
-(* Where the entry for [k] currently lives: its shard, the legacy flat
-   location, or nowhere.  The shard wins when both exist — only a layout-2
-   writer can have produced it, so it is the newer of the two. *)
-let entry_path t k =
-  let sharded = shard_path t k in
-  if Sys.file_exists sharded then Some sharded
-  else
-    let flat = flat_path t k in
-    if Sys.file_exists flat then Some flat else None
 
 let manifest_body () =
   Json.to_string ~pretty:true
@@ -104,12 +91,11 @@ let open_dir root =
   mkdirs root;
   let t = { root } in
   (match manifest t with
-  | Ok v when v > layout_version ->
+  | Ok v when v <> layout_version ->
       failwith
         (Printf.sprintf
-           "registry %s: layout version %d is newer than this build reads \
-            (%d)"
-           root v layout_version)
+           "registry %s: layout version %d, this build reads only %d" root v
+           layout_version)
   | Ok _ -> ()
   | Error _ ->
       (* First open, or a damaged manifest: (re)write ours.  The write is
@@ -206,11 +192,6 @@ let store t topo (coll : Collective.t) ?(blocks = 8) ~cost ~chosen schedules =
   atomic_write ~dir:sdir (shard_path t k) body;
   Counters.bump "registry.stores"
 
-(* Simulated cost of a multi-phase schedule set, matching how the
-   synthesizer accounts it: phases run back to back, times sum. *)
-let simulate ~blocks topo schedules =
-  List.fold_left (fun a s -> a +. (Sim.time ~blocks topo s : float)) 0.0 schedules
-
 type miss_reason = Absent | Corrupt | Invalid | Slower | Transport_rejected
 
 let miss_reason_name = function
@@ -223,16 +204,9 @@ let miss_reason_name = function
 type probe_result = Hit of hit | Miss of miss_reason
 
 (* Per-reason "registry.miss.<reason>" counters distinguish cold misses from
-   store corruption in scraped metrics; the aggregate and the legacy reason
-   names (registry.corrupt/invalid/slower) are kept for dashboards and tests
-   that predate the split. *)
+   store corruption in scraped metrics; "registry.misses" is their sum. *)
 let miss reason =
   Counters.bump ("registry.miss." ^ miss_reason_name reason);
-  (match reason with
-  | Absent | Transport_rejected -> ()
-  | Corrupt -> Counters.bump "registry.corrupt"
-  | Invalid -> Counters.bump "registry.invalid"
-  | Slower -> Counters.bump "registry.slower");
   Counters.bump "registry.misses";
   Miss reason
 
@@ -276,37 +250,20 @@ let parse_entry ~key:k path =
         (Json.Parse_error
            (Printf.sprintf "schema version %d, this build reads %d" version
               Schedule.schema_version));
-    (* Simulator fidelity the stored cost was computed at.  Entries
-       predating the field were all written under the default blocks=8. *)
-    let stored_blocks =
-      match j with
-      | Json.Obj fields -> (
-          match List.assoc_opt "blocks" fields with
-          | Some v -> Json.to_int v
-          | None -> 8)
-      | _ -> 8
-    in
-    (* Fault provenance; entries predating the field were all healthy. *)
-    let m_faults =
-      match j with
-      | Json.Obj fields -> (
-          match List.assoc_opt "faults" fields with
-          | Some (Json.Str s) -> s
-          | Some Json.Null | None -> ""
-          | Some _ -> raise (Json.Parse_error "\"faults\" must be a string"))
-      | _ -> ""
-    in
     let meta =
       {
         m_key = k;
         m_fingerprint = Json.to_str (Json.member "fingerprint" j);
-        m_faults;
+        m_faults =
+          (match Json.member "faults" j with
+          | Json.Null -> ""
+          | v -> Json.to_str v);
         m_kind = Json.to_str (Json.member "kind" j);
         m_root = Json.to_int (Json.member "root" j);
         m_peer = Json.to_int (Json.member "peer" j);
         m_size = Json.to_float (Json.member "size" j);
         m_cost = Json.to_float (Json.member "cost" j);
-        m_blocks = stored_blocks;
+        m_blocks = Json.to_int (Json.member "blocks" j);
         m_chosen = Json.to_str (Json.member "chosen" j);
         m_schema = Json.to_int (Json.member "schema_version" j);
         m_bytes = String.length body;
@@ -321,15 +278,20 @@ let parse_entry ~key:k path =
   | exception e -> Error (Printexc.to_string e)
   | parsed -> Ok parsed
 
+let load t k =
+  let path = shard_path t k in
+  if Sys.file_exists path then parse_entry ~key:k path
+  else Error "no such entry"
+
 (* --- probe: exact key, then symmetry/size near-miss -------------------- *)
 
 (* Exact-key classification.  Pure with respect to the serving counters:
    [probe] does the bumping, so the near-miss pass can reuse this without
    double-counting. *)
 let probe_exact t ~blocks topo (coll : Collective.t) k =
-  match entry_path t k with
-  | None -> Miss Absent
-  | Some path -> (
+  match shard_path t k with
+  | path when not (Sys.file_exists path) -> Miss Absent
+  | path -> (
       match parse_entry ~key:k path with
       | Error _ -> Miss Corrupt
       | Ok (meta, schedules) ->
@@ -358,7 +320,7 @@ let probe_exact t ~blocks topo (coll : Collective.t) k =
             | Error _ -> Miss Invalid
             | exception _ -> Miss Invalid
             | Ok () ->
-                let time = simulate ~blocks topo schedules in
+                let time = Sim.phases_time ~blocks topo schedules in
                 (* Compare against the stored cost at the fidelity it was
                    computed at: a caller probing with a different [blocks]
                    must not demote (or rehabilitate) an entry just because
@@ -366,7 +328,7 @@ let probe_exact t ~blocks topo (coll : Collective.t) k =
                    drift, not schedule drift. *)
                 let comparable_time =
                   if blocks = stored_blocks then time
-                  else simulate ~blocks:stored_blocks topo schedules
+                  else Sim.phases_time ~blocks:stored_blocks topo schedules
                 in
                 if
                   (not scaled)
@@ -451,24 +413,21 @@ let probe_near t ~blocks topo (coll : Collective.t) =
      distinction between miss.absent and miss.transport_rejected is "was
      there anything to transport". *)
   let load_source k =
-    match entry_path t k with
-    | None -> None
-    | Some path -> (
-        match parse_entry ~key:k path with
-        | Error _ -> None
-        | Ok (meta, ss) ->
-            if meta.m_fingerprint <> fp || meta.m_kind <> kind_name then None
-            else begin
-              incr attempted;
-              Some (meta, ss)
-            end)
+    match load t k with
+    | Error _ -> None
+    | Ok (meta, ss) ->
+        if meta.m_fingerprint <> fp || meta.m_kind <> kind_name then None
+        else begin
+          incr attempted;
+          Some (meta, ss)
+        end
   in
   let finish ~via ~hit_key (meta : meta) schedules =
     match Validate.validate topo coll schedules with
     | Error _ -> None
     | exception _ -> None
     | Ok () ->
-        let time = simulate ~blocks topo schedules in
+        let time = Sim.phases_time ~blocks topo schedules in
         Some
           {
             schedules;
@@ -545,7 +504,7 @@ let probe_near t ~blocks topo (coll : Collective.t) =
       let floor_time =
         match Fallback.schedule topo coll with
         | exception _ -> None
-        | phases -> ( try Some (simulate ~blocks topo phases) with _ -> None)
+        | phases -> ( try Some (Sim.phases_time ~blocks topo phases) with _ -> None)
       in
       let accepted =
         match floor_time with
@@ -584,56 +543,22 @@ let is_shard_name f =
   String.length f = shard_prefix_len && String.for_all is_hex_char f
 
 let keys t =
-  let top = Array.to_list (try Sys.readdir t.root with Sys_error _ -> [||]) in
-  let flat =
-    List.filter_map
-      (fun f ->
-        if f <> manifest_name && Filename.check_suffix f ".json" then
-          Some (Filename.chop_suffix f ".json")
-        else None)
-      top
-  in
-  let sharded =
-    List.concat_map
-      (fun d ->
-        let full = Filename.concat t.root d in
-        if is_shard_name d && Sys.is_directory full then
-          (* An existing-but-unreadable shard directory is an operator
-             problem the caller must see, not an empty shard: Sys_error
-             propagates. *)
-          Array.to_list (Sys.readdir full)
-          |> List.filter_map (fun f ->
-                 if Filename.check_suffix f ".json" then
-                   Some (Filename.chop_suffix f ".json")
-                 else None)
-        else [])
-      top
-  in
-  List.sort_uniq compare (flat @ sharded)
+  Array.to_list (try Sys.readdir t.root with Sys_error _ -> [||])
+  |> List.concat_map (fun d ->
+         let full = Filename.concat t.root d in
+         if is_shard_name d && Sys.is_directory full then
+           (* An existing-but-unreadable shard directory is an operator
+              problem the caller must see, not an empty shard: Sys_error
+              propagates. *)
+           Array.to_list (Sys.readdir full)
+           |> List.filter_map (fun f ->
+                  if Filename.check_suffix f ".json" then
+                    Some (Filename.chop_suffix f ".json")
+                  else None)
+         else [])
+  |> List.sort compare
 
 let length t = List.length (keys t)
-
-type layout_stats = { sharded : int; flat : int; shards_in_use : int }
-
-let layout_stats t =
-  let ks = keys t in
-  let shards = Hashtbl.create 16 in
-  let sharded, flat =
-    List.fold_left
-      (fun (s, f) k ->
-        if Sys.file_exists (shard_path t k) then begin
-          Hashtbl.replace shards (shard_of_key k) ();
-          (s + 1, f)
-        end
-        else (s, f + 1))
-      (0, 0) ks
-  in
-  { sharded; flat; shards_in_use = Hashtbl.length shards }
-
-let load t k =
-  match entry_path t k with
-  | None -> Error "no such entry"
-  | Some path -> parse_entry ~key:k path
 
 type verdict =
   | Entry_ok of { simulated : float }
@@ -661,49 +586,21 @@ let verify_entry t ?topo k =
           | Ok () ->
               (* Re-simulate at the entry's store-time fidelity so the
                  comparison is like-for-like with the stored cost. *)
-              let simulated = simulate ~blocks:meta.m_blocks topo schedules in
+              let simulated = Sim.phases_time ~blocks:meta.m_blocks topo schedules in
               if simulated > meta.m_cost *. (1.0 +. 1e-6) then
                 Entry_slower { meta; simulated }
               else Entry_ok { simulated })
       | _ -> Entry_unverified meta)
 
-(* --- maintenance: migration, compaction, eviction ----------------------- *)
+(* --- maintenance: compaction, eviction ------------------------------------ *)
 
 let remove_entry t k =
-  let removed = ref false in
-  List.iter
-    (fun p ->
-      if Sys.file_exists p then begin
-        (try Sys.remove p with Sys_error _ -> ());
-        removed := true
-      end)
-    [ shard_path t k; flat_path t k ];
-  !removed
-
-let migrate t =
-  let moved = ref 0 in
-  Array.iter
-    (fun f ->
-      if f <> manifest_name && Filename.check_suffix f ".json" then begin
-        let k = Filename.chop_suffix f ".json" in
-        let src = flat_path t k and dst = shard_path t k in
-        mkdirs (shard_dir t k);
-        if Sys.file_exists dst then begin
-          (* A sharded entry only a layout-2 writer can have produced
-             shadows the legacy one; drop the straggler. *)
-          (try Sys.remove src with Sys_error _ -> ());
-          incr moved
-        end
-        else
-          match Sys.rename src dst with
-          | () -> incr moved
-          | exception Sys_error _ -> ()
-      end)
-    (try Sys.readdir t.root with Sys_error _ -> [||]);
-  !moved
+  let p = shard_path t k in
+  let exists = Sys.file_exists p in
+  if exists then (try Sys.remove p with Sys_error _ -> ());
+  exists
 
 type compact_stats = {
-  migrated : int;
   corrupt_removed : int;
   dominated_removed : int;
   evicted : int;
@@ -729,7 +626,6 @@ let prunable m =
   | exception _ -> false
 
 let compact t ?max_entries ?max_bytes ?(last_used = fun _ -> None) () =
-  let migrated = migrate t in
   let corrupt_removed = ref 0 in
   let metas =
     List.filter_map
@@ -788,9 +684,7 @@ let compact t ?max_entries ?max_bytes ?(last_used = fun _ -> None) () =
     match last_used m.m_key with
     | Some ts -> ts
     | None -> (
-        match entry_path t m.m_key with
-        | Some p -> ( try (Unix.stat p).Unix.st_mtime with _ -> 0.0)
-        | None -> 0.0)
+        try (Unix.stat (shard_path t m.m_key)).Unix.st_mtime with _ -> 0.0)
   in
   let by_age =
     List.sort compare (List.map (fun m -> (stamp m, m.m_key, m.m_bytes)) metas)
@@ -809,11 +703,7 @@ let compact t ?max_entries ?max_bytes ?(last_used = fun _ -> None) () =
   let evicted, kept, kept_bytes =
     evict 0 (List.length by_age) total_bytes by_age
   in
-  (* Re-stamp the manifest: compaction is also the upgrade path from the
-     flat layout, and the manifest should say so afterwards. *)
-  atomic_write ~dir:t.root (manifest_path t) (manifest_body ());
   {
-    migrated;
     corrupt_removed = !corrupt_removed;
     dominated_removed;
     evicted;

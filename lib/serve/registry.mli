@@ -11,10 +11,8 @@
     the first two hex characters of the entry key (git-object style), so
     concurrent writers from many pool tasks and processes spread their
     atomic renames across directories instead of contending on one.  A
-    [MANIFEST.json] at the root records the layout and schema versions.
-    The v1 layout was a flat directory of [<key>.json] files; reads fall
-    back to the flat path transparently, and {!compact}/{!migrate} move
-    stragglers into their shards.
+    [MANIFEST.json] at the root records the layout and schema versions;
+    v2 is the only layout there is, and {!open_dir} refuses any other.
 
     Safety properties:
     - {e writes are atomic}: entries are written to a temp file inside
@@ -23,14 +21,14 @@
       complete, valid entry — last rename wins;
     - {e loads are corruption-tolerant}: an unreadable, truncated,
       malformed or wrong-schema entry is a counted miss
-      (["registry.corrupt"]), never an error;
+      (["registry.miss.corrupt"]), never an error;
     - {e hits are re-verified}: every hit — exact, rescaled, transported
       or cross-bucket — is re-validated with
       {!Syccl_sim.Validate.validate} and re-simulated against the live
-      α-β model; an entry that fails validation (["registry.invalid"]) or
-      simulates slower than its stored cost (["registry.slower"]) is
-      demoted to a miss, so a stale entry can never beat a fresh solve
-      silently.
+      α-β model; an entry that fails validation
+      (["registry.miss.invalid"]) or simulates slower than its stored cost
+      (["registry.miss.slower"]) is demoted to a miss, so a stale entry can
+      never beat a fresh solve silently.
 
     {b Near-miss serving.}  When the exact key is absent, the probe
     exploits the paper's symmetry machinery at serving time: entries for
@@ -50,9 +48,7 @@
     ["registry.hit.scaled_cross"] for near-miss hits),
     ["registry.stores"], the per-reason miss family
     ["registry.miss.absent"|"corrupt"|"invalid"|"slower"|
-    "transport_rejected"], the aggregate ["registry.misses"], and the
-    legacy reason names ["registry.corrupt"], ["registry.invalid"],
-    ["registry.slower"] (kept for compatibility). *)
+    "transport_rejected"], and their aggregate ["registry.misses"]. *)
 
 type t
 
@@ -60,8 +56,8 @@ val open_dir : string -> t
 (** Open (creating it, missing parents, and the manifest if needed) a
     registry rooted at the given directory.  Raises
     [Sys_error]/[Unix.Unix_error] when the directory cannot be created at
-    all, and [Failure] when the on-disk manifest declares a layout newer
-    than this build reads. *)
+    all, and [Failure] (a one-line message naming both versions) when the
+    on-disk manifest declares any layout other than {!layout_version}. *)
 
 val dir : t -> string
 
@@ -72,7 +68,7 @@ val from_env : unit -> t option
 (** {1 Layout} *)
 
 val layout_version : int
-(** The directory layout this build writes (2: sharded). *)
+(** The directory layout this build reads and writes (2: sharded). *)
 
 val shard_of_key : string -> string
 (** The shard directory (relative to {!dir}) an entry key lives in: its
@@ -81,14 +77,6 @@ val shard_of_key : string -> string
 val manifest : t -> (int, string) result
 (** The layout version recorded in the on-disk [MANIFEST.json], or the
     reason it could not be read. *)
-
-type layout_stats = {
-  sharded : int;  (** entries living in their shard directory *)
-  flat : int;  (** legacy flat-layout entries awaiting {!migrate} *)
-  shards_in_use : int;  (** shard directories holding at least one entry *)
-}
-
-val layout_stats : t -> layout_stats
 
 (** {1 Addressing} *)
 
@@ -133,9 +121,7 @@ type hit = {
   schedules : Syccl_sim.Schedule.t list;  (** one per collective phase *)
   time : float;  (** freshly re-simulated cost, seconds *)
   stored_cost : float;  (** cost recorded when the entry was stored *)
-  stored_blocks : int;
-      (** simulator fidelity [stored_cost] was computed at (8 for legacy
-          entries written before the field existed) *)
+  stored_blocks : int;  (** simulator fidelity [stored_cost] was computed at *)
   chosen : string;  (** winning-combination description, as stored *)
   via : via;  (** how the entry reached the request's demand *)
   hit_key : string;
@@ -196,8 +182,7 @@ val store :
     does not second-guess that policy, it only verifies on the way out. *)
 
 val length : t -> int
-(** Number of distinct entry keys currently present (corrupt ones
-    included), across shards and the legacy flat layout. *)
+(** Number of entry keys currently present (corrupt ones included). *)
 
 (** {1 Introspection}
 
@@ -211,8 +196,7 @@ type meta = {
   m_fingerprint : string;
   m_faults : string;
       (** canonical {!Syccl_topology.Fault.encode} string of the fault set
-          the entry was synthesized under ([""] for healthy topologies and
-          entries predating the field) *)
+          the entry was synthesized under ([""] for healthy topologies) *)
   m_kind : string;  (** collective kind, as stored *)
   m_root : int;
   m_peer : int;
@@ -225,10 +209,9 @@ type meta = {
 }
 
 val keys : t -> string list
-(** All entry keys currently on disk, sorted, across shards and the
-    legacy flat layout.  Raises [Sys_error] when an existing shard
-    directory cannot be read — an operator problem the caller must see,
-    not an empty shard. *)
+(** All entry keys currently on disk, sorted.  Raises [Sys_error] when an
+    existing shard directory cannot be read — an operator problem the
+    caller must see, not an empty shard. *)
 
 val load :
   t -> string -> (meta * Syccl_sim.Schedule.t list, string) result
@@ -260,13 +243,7 @@ val verify_entry :
     The explicitly-invoked offline passes ([syccl registry compact]) and
     test teardown.  These are the only operations that delete. *)
 
-val migrate : t -> int
-(** Move legacy flat-layout entries into their shard directories (a
-    sharded entry under the same key shadows and replaces the flat one).
-    Returns the number of flat entries resolved.  Idempotent. *)
-
 type compact_stats = {
-  migrated : int;  (** flat entries moved into shards *)
   corrupt_removed : int;  (** unparseable entries deleted *)
   dominated_removed : int;
       (** entries deleted because a cheaper same-class entry serves their
@@ -279,18 +256,17 @@ type compact_stats = {
 val compact :
   t -> ?max_entries:int -> ?max_bytes:int ->
   ?last_used:(string -> float option) -> unit -> compact_stats
-(** Offline compaction: migrate stragglers off the flat layout, delete
-    corrupt entries, prune dominated entries (same healthy
+(** Offline compaction: delete corrupt entries, prune dominated entries (same healthy
     (fingerprint, kind, bucket, size, fidelity) class, differing only in
     root — the transport probe serves them from the cheapest survivor),
     then evict least-recently-used entries until [max_entries] /
     [max_bytes] are met.  [last_used] maps an entry key to its last hit
     timestamp (callers feed it from the audit trail); entries it does not
-    know fall back to file mtime.  Rewrites the manifest. *)
+    know fall back to file mtime. *)
 
 val remove_entry : t -> string -> bool
-(** Delete one entry by key (shard and legacy flat locations).  [false]
-    when no file existed.  Maintenance only — serving never deletes. *)
+(** Delete one entry by key.  [false] when no file existed.  Maintenance
+    only — serving never deletes. *)
 
 val destroy : t -> unit
 (** Recursively delete the registry directory — entries, shards, manifest

@@ -4,8 +4,8 @@
     structurally by {!Syccl_topology.Topology.fingerprint}), collective,
     size, synthesis config, deadline — and has a canonical JSON encoding,
     so CLI subcommands, batch JSONL files, tests and benches all build the
-    same value and the pipeline ({!Plan}, {!Serve}) can key caches and
-    dedupe work on its digest. *)
+    same value and the pipeline ({!Serve}) can key caches and dedupe work
+    on its digest. *)
 
 type t = {
   topo_name : string;  (** the name the topology was requested under *)

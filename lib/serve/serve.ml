@@ -15,27 +15,15 @@ type source =
 type outcome = {
   request : Request.t;
   source : source;
+  probe : Registry.probe_result option;
+      (* the registry's verdict; [None] when served without a registry *)
   synth : Synthesizer.outcome;
+  stored : bool;  (* the result was persisted into the registry *)
   lower : (unit, string) result option;
       (* verdict of the caller's lowering check over the schedules actually
          served (registry hits and degraded rungs included); [None] when no
          check was requested *)
 }
-
-let hit_breakdown =
-  {
-    Synthesizer.search_s = 0.0;
-    combine_s = 0.0;
-    solve1_s = 0.0;
-    solve2_s = 0.0;
-    cache_hits = 0;
-    cache_misses = 0;
-    milp_solves = 0;
-    milp_nodes = 0;
-    flow_certified = 0;
-    registry_hits = 1;
-    registry_misses = 0;
-  }
 
 let hit_outcome (request : Request.t) (hit : Registry.hit) =
   {
@@ -47,6 +35,7 @@ let hit_outcome (request : Request.t) (hit : Registry.hit) =
           via = hit.Registry.via;
           stored_cost = hit.Registry.stored_cost;
         };
+    probe = Some (Registry.Hit hit);
     synth =
       {
         Synthesizer.schedules = hit.Registry.schedules;
@@ -54,13 +43,14 @@ let hit_outcome (request : Request.t) (hit : Registry.hit) =
         busbw =
           Collective.busbw request.Request.coll ~time:hit.Registry.time;
         synth_time = 0.0;
-        breakdown = hit_breakdown;
+        breakdown = Synthesizer.zero_breakdown;
         num_sketches = 0;
         num_combos = 0;
         chosen = hit.Registry.chosen;
         degraded = Synthesizer.Full;
         degrade_reason = None;
       };
+    stored = false;
     lower = None;
   }
 
@@ -76,7 +66,8 @@ let storable (request : Request.t) (o : Synthesizer.outcome) =
 
 (* Storing is fail-open like auditing: a registry that cannot persist (full
    disk, revoked credentials, the registry.crash fault point) costs the
-   store, never the response. *)
+   store, never the response.  Returns whether the result was persisted —
+   the one source of truth for the audit trail and every caller. *)
 let store_result registry (request : Request.t) (o : Synthesizer.outcome) =
   match registry with
   | Some reg when storable request o -> (
@@ -86,19 +77,11 @@ let store_result registry (request : Request.t) (o : Synthesizer.outcome) =
           ~cost:o.Synthesizer.time ~chosen:o.Synthesizer.chosen
           o.Synthesizer.schedules
       with
-      | () -> ()
-      | exception _ -> Counters.bump "registry.store_errors")
-  | _ -> ()
-
-let with_registry_miss registry (o : Synthesizer.outcome) =
-  match registry with
-  | None -> o
-  | Some _ ->
-      {
-        o with
-        Synthesizer.breakdown =
-          { o.Synthesizer.breakdown with Synthesizer.registry_misses = 1 };
-      }
+      | () -> true
+      | exception _ ->
+          Counters.bump "registry.store_errors";
+          false)
+  | _ -> false
 
 (* Group synthesis work by (topology structure, config) so each group runs
    through [synthesize_all] — one pipeline invocation with snapshot
@@ -120,9 +103,26 @@ let group_requests requests =
     requests;
   List.map (fun (_, cfg, members) -> (cfg, List.rev !members)) !groups
 
+(* The audit trail's "probe" field: every value an operator can aggregate
+   misses by.  Rescaled, transported and cross-bucket hits are each
+   distinguished because a reused-and-transformed schedule is the thing to
+   suspect first when a served cost looks off. *)
+let probe_name (o : outcome) =
+  match o.probe with
+  | None -> "none"
+  | Some (Registry.Hit { via = Registry.Exact; _ }) -> "hit"
+  | Some (Registry.Hit h) -> "hit." ^ Registry.via_name h.Registry.via
+  | Some (Registry.Miss r) -> "miss." ^ Registry.miss_reason_name r
+
+let registry_counts (o : outcome) =
+  match o.probe with
+  | None -> (0, 0)
+  | Some (Registry.Hit _) -> (1, 0)
+  | Some (Registry.Miss _) -> (0, 1)
+
 (* One audit record per request element: duplicates share one execution but
    each leaves its own line, so the trail counts traffic, not work. *)
-let audit_record ~registry (p : Plan.t) (o : outcome) =
+let audit_record (o : outcome) =
   let r = o.request and s = o.synth in
   let b = s.Synthesizer.breakdown in
   {
@@ -135,8 +135,13 @@ let audit_record ~registry (p : Plan.t) (o : outcome) =
       String.lowercase_ascii
         (Collective.kind_name r.Request.coll.Collective.kind);
     size = r.Request.coll.Collective.size;
-    plan = Plan.describe p;
-    probe = Plan.probe_name p;
+    plan =
+      (match o.source with
+      | From_registry { via = Registry.Exact; _ } -> "registry-hit"
+      | From_registry { via; _ } ->
+          Printf.sprintf "registry-hit(%s)" (Registry.via_name via)
+      | From_synthesis -> "synthesize");
+    probe = probe_name o;
     hit_key =
       (match o.source with
       | From_registry { hit_key; _ } -> Some hit_key
@@ -147,10 +152,7 @@ let audit_record ~registry (p : Plan.t) (o : outcome) =
     consumed_s = s.Synthesizer.synth_time;
     time_s = s.Synthesizer.time;
     busbw = s.Synthesizer.busbw;
-    stored =
-      (match o.source with
-      | From_synthesis -> registry <> None && storable r s
-      | From_registry _ -> false);
+    stored = o.stored;
     cache_hits = b.Synthesizer.cache_hits;
     cache_misses = b.Synthesizer.cache_misses;
     milp_solves = b.Synthesizer.milp_solves;
@@ -167,22 +169,31 @@ let audit_record ~registry (p : Plan.t) (o : outcome) =
 let run_batch ?registry ?audit ?lower requests =
   (* Dedupe on the request key: equal keys are guaranteed identical
      outcomes (synthesis is deterministic in everything the key covers),
-     so each unique request is planned and executed once. *)
+     so each unique request is probed and executed once.  The probe runs
+     before any solver: a verified hit is served as is, anything else
+     (no registry, or a miss of any reason) is synthesized. *)
   let uniques =
     List.fold_left
       (fun acc r ->
         let k = Request.key r in
-        if List.mem_assoc k acc then acc else acc @ [ (k, r) ])
+        if List.mem_assoc k acc then acc
+        else
+          let probe =
+            Option.map
+              (fun reg ->
+                Registry.probe reg
+                  ~blocks:r.Request.config.Synthesizer.blocks r.Request.topo
+                  r.Request.coll)
+              registry
+          in
+          acc @ [ (k, (r, probe)) ])
       [] requests
   in
-  let plans = List.map (fun (k, r) -> (k, Plan.make ~registry r)) uniques in
   let synth_work =
     List.filter_map
-      (fun (k, (p : Plan.t)) ->
-        match p.Plan.action with
-        | Plan.Serve_hit _ -> None
-        | Plan.Synthesize -> Some (k, p.Plan.request))
-      plans
+      (fun (_, (r, probe)) ->
+        match probe with Some (Registry.Hit _) -> None | _ -> Some r)
+      uniques
   in
   let synthesized =
     List.concat_map
@@ -195,12 +206,9 @@ let run_batch ?registry ?audit ?lower requests =
         let outs = Synthesizer.synthesize_all ~config topo colls in
         List.map2
           (fun (r : Request.t) o ->
-            store_result registry r o;
-            (Request.key r, { request = r; source = From_synthesis;
-                              synth = with_registry_miss registry o;
-                              lower = None }))
+            (Request.key r, (o, store_result registry r o)))
           members outs)
-      (group_requests (List.map snd synth_work))
+      (group_requests synth_work)
   in
   (* The lowering check runs over the outcome {e as served} — a registry
      hit or a degraded rung lowers exactly the schedules the caller gets,
@@ -224,22 +232,23 @@ let run_batch ?registry ?audit ?lower requests =
   in
   let by_key =
     List.map
-      (fun (k, (p : Plan.t)) ->
-        match p.Plan.action with
-        | Plan.Serve_hit hit -> (k, checked (hit_outcome p.Plan.request hit))
-        | Plan.Synthesize -> (k, checked (List.assoc k synthesized)))
-      plans
+      (fun (k, (request, probe)) ->
+        match probe with
+        | Some (Registry.Hit hit) -> (k, checked (hit_outcome request hit))
+        | None | Some (Registry.Miss _) ->
+            let synth, stored = List.assoc k synthesized in
+            ( k,
+              checked
+                { request; source = From_synthesis; probe; synth; stored;
+                  lower = None } ))
+      uniques
   in
   let outcomes = List.map (fun r -> List.assoc (Request.key r) by_key) requests in
   (match audit with
   | None -> ()
   | Some sink ->
       Counters.add "serve.requests" (List.length requests);
-      List.iter
-        (fun (o : outcome) ->
-          let p = List.assoc (Request.key o.request) plans in
-          Audit.append sink (audit_record ~registry p o))
-        outcomes);
+      List.iter (fun o -> Audit.append sink (audit_record o)) outcomes);
   outcomes
 
 let run ?registry ?audit ?lower request =
@@ -250,7 +259,7 @@ let run ?registry ?audit ?lower request =
 let outcome_to_json (o : outcome) =
   let r = o.request in
   let s = o.synth in
-  let b = s.Synthesizer.breakdown in
+  let hits, misses = registry_counts o in
   let int i = Json.Num (float_of_int i) in
   Json.Obj
     [
@@ -289,8 +298,8 @@ let outcome_to_json (o : outcome) =
         match s.Synthesizer.degrade_reason with
         | None -> Json.Null
         | Some reason -> Json.Str reason );
-      ("registry_hits", int b.Synthesizer.registry_hits);
-      ("registry_misses", int b.Synthesizer.registry_misses);
+      ("registry_hits", int hits);
+      ("registry_misses", int misses);
       ("synth_time_s", Json.Num s.Synthesizer.synth_time);
       ( "lower_check",
         match o.lower with

@@ -121,25 +121,16 @@ let to_json t =
     ]
 
 let of_json j =
-  (* Documents predating the field parse as version 1 (the layout is
-     unchanged); an explicit mismatched version is rejected up front so a
-     registry entry written by a future incompatible build surfaces as a
-     clear parse error (⇒ a counted registry miss), never as a
-     silently-misread schedule. *)
-  (match j with
-  | Json.Obj fields -> (
-      match List.assoc_opt "schema_version" fields with
-      | None -> ()
-      | Some v ->
-          let got = Json.to_int v in
-          if got <> schema_version then
-            raise
-              (Json.Parse_error
-                 (Printf.sprintf
-                    "schedule schema_version mismatch: got %d, this build \
-                     reads %d"
-                    got schema_version)))
-  | _ -> ());
+  (* A missing or mismatched version is rejected up front so a registry
+     entry written by an incompatible build surfaces as a clear parse error
+     (⇒ a counted registry miss), never as a silently-misread schedule. *)
+  let version = Json.to_int (Json.member "schema_version" j) in
+  if version <> schema_version then
+    raise
+      (Json.Parse_error
+         (Printf.sprintf
+            "schedule schema_version mismatch: got %d, this build reads %d"
+            version schema_version));
   let ints v = List.map Json.to_int (Json.to_list v) in
   let chunks =
     Array.of_list

@@ -67,13 +67,13 @@ val num_xfers : t -> int
 
 val schema_version : int
 (** Version stamped into {!to_json} output.  Bumped on incompatible layout
-    changes; {!of_json} rejects any other explicit version. *)
+    changes; {!of_json} rejects any other version, and a missing one. *)
 
 val to_json : t -> Syccl_util.Json.t
 val of_json : Syccl_util.Json.t -> t
 (** Lossless persistence; [of_json] raises {!Syccl_util.Json.Parse_error} on
-    malformed or incomplete documents, and on a [schema_version] field that
-    does not match this build's {!schema_version} (documents without the
-    field are read as version 1). *)
+    malformed or incomplete documents, including one without a
+    [schema_version] field, and on a [schema_version] that does not match
+    this build's {!schema_version}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -274,3 +274,6 @@ let run ?(blocks = 8) ?trace_pid topo (s : Schedule.t) =
   { time = !makespan; events = !events; xfer_finish }
 
 let time ?blocks topo s = (run ?blocks topo s).time
+
+let phases_time ?blocks topo phases =
+  List.fold_left (fun a s -> a +. time ?blocks topo s) 0.0 phases

@@ -33,3 +33,9 @@ val run :
 
 val time : ?blocks:int -> Syccl_topology.Topology.t -> Schedule.t -> float
 (** [time topo s] = [(run topo s).time]. *)
+
+val phases_time :
+  ?blocks:int -> Syccl_topology.Topology.t -> Schedule.t list -> float
+(** Completion time of a collective's phase schedules run back to back
+    (AllReduce = ReduceScatter then AllGather, §4.3): {!time} summed over
+    the phases in order, from [0.0]. *)

@@ -136,12 +136,9 @@ let synthesize ?(seed = 42) ?restarts ?(time_budget = 600.0)
   | Some (ss, used) ->
       { schedules = Some ss; synth_time = Syccl_util.Clock.elapsed t0; used_milp = used }
 
-let simulate ?blocks topo schedules =
-  List.fold_left (fun acc s -> acc +. Sim.time ?blocks topo s) 0.0 schedules
-
 let busbw ?blocks topo coll outcome =
   Option.map
     (fun ss ->
-      let time = simulate ?blocks topo ss in
+      let time = Sim.phases_time ?blocks topo ss in
       Collective.busbw coll ~time)
     outcome.schedules

@@ -35,11 +35,6 @@ val synthesize :
     (default 2500) bounds the size of models handed to the MILP; [e_value]
     is the epoch-accuracy knob (default 1.0). *)
 
-val simulate :
-  ?blocks:int -> Syccl_topology.Topology.t -> Syccl_sim.Schedule.t list -> float
-(** Completion time of sequential phases (AllReduce = ReduceScatter then
-    AllGather, §4.3). *)
-
 val busbw :
   ?blocks:int ->
   Syccl_topology.Topology.t ->

@@ -59,9 +59,6 @@ let exact =
     "registry.miss.invalid";
     "registry.miss.slower";
     "registry.miss.transport_rejected";
-    "registry.corrupt";
-    "registry.invalid";
-    "registry.slower";
     "registry.stores";
     (* lib/serve: failover *)
     "failover.skipped_demand";

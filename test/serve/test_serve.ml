@@ -15,7 +15,6 @@ module Pool = Syccl_util.Pool
 module Synth = Syccl.Synthesizer
 module Request = Syccl_serve.Request
 module Registry = Syccl_serve.Registry
-module Plan = Syccl_serve.Plan
 module Serve = Syccl_serve.Serve
 module Audit = Syccl_serve.Audit
 
@@ -37,6 +36,13 @@ let delta name f =
   let before = Counters.value name in
   let r = f () in
   (r, Counters.value name -. before)
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
 
 (* Where an entry file lives on disk under the sharded layout — tests that
    plant corruption or inspect placement go through this. *)
@@ -166,7 +172,7 @@ let test_registry_corrupt_entry () =
   output_string oc body;
   close_out oc;
   let result, corrupt =
-    delta "registry.corrupt" (fun () ->
+    delta "registry.miss.corrupt" (fun () ->
         snd (delta "registry.misses" (fun () -> Registry.lookup reg topo coll)))
   in
   ignore result;
@@ -181,7 +187,7 @@ let test_registry_corrupt_entry () =
   output_string oc "not json at all {{{";
   close_out oc;
   let result, corrupt =
-    delta "registry.corrupt" (fun () -> Registry.lookup reg topo coll)
+    delta "registry.miss.corrupt" (fun () -> Registry.lookup reg topo coll)
   in
   checkb "garbage entry is a miss" true (result = None);
   check (Alcotest.float 0.0) "garbage counted corrupt" 1.0 corrupt
@@ -211,10 +217,25 @@ let test_registry_schema_mismatch () =
   output_string oc (Json.to_string bumped);
   close_out oc;
   let result, corrupt =
-    delta "registry.corrupt" (fun () -> Registry.lookup reg topo coll)
+    delta "registry.miss.corrupt" (fun () -> Registry.lookup reg topo coll)
   in
   checkb "future-schema entry is a miss" true (result = None);
-  check (Alcotest.float 0.0) "schema mismatch counted corrupt" 1.0 corrupt
+  check (Alcotest.float 0.0) "schema mismatch counted corrupt" 1.0 corrupt;
+  (* An entry without the simulator fidelity of its stored cost is corrupt
+     too: nothing defaults it. *)
+  let blockless =
+    match j with
+    | Json.Obj fields -> Json.Obj (List.remove_assoc "blocks" fields)
+    | _ -> Alcotest.fail "entry must be an object"
+  in
+  let oc = open_out path in
+  output_string oc (Json.to_string blockless);
+  close_out oc;
+  let result, corrupt =
+    delta "registry.miss.corrupt" (fun () -> Registry.lookup reg topo coll)
+  in
+  checkb "entry without blocks is a miss" true (result = None);
+  check (Alcotest.float 0.0) "missing blocks counted corrupt" 1.0 corrupt
 
 let test_registry_concurrent_writers () =
   let reg = fresh_registry () in
@@ -242,33 +263,32 @@ let test_registry_concurrent_writers () =
 
 (* --- serve pipeline --------------------------------------------------- *)
 
-let test_outcome_breakdown_counters () =
+let test_outcome_registry_counters () =
   let reg = fresh_registry () in
   let r = req () in
+  (* The registry_hits/registry_misses fields of the outcome's JSON line. *)
+  let counts (o : Serve.outcome) =
+    let field k = Json.to_int (Json.member k (Serve.outcome_to_json o)) in
+    (field "registry_hits", field "registry_misses")
+  in
+  let pair = Alcotest.(pair int int) in
   Synth.reset_caches ();
   let first = Serve.run ~registry:reg r in
   checkb "first run synthesizes" true
     (first.Serve.source = Serve.From_synthesis);
-  check Alcotest.int "miss surfaced in breakdown" 1
-    first.Serve.synth.Synth.breakdown.Synth.registry_misses;
-  check Alcotest.int "no hit on first run" 0
-    first.Serve.synth.Synth.breakdown.Synth.registry_hits;
+  check pair "miss surfaced, no hit" (0, 1) (counts first);
   let second = Serve.run ~registry:reg r in
   (match second.Serve.source with
   | Serve.From_registry { via; _ } ->
       checkb "exact size" true (via = Registry.Exact)
   | Serve.From_synthesis -> Alcotest.fail "second run must hit the registry");
-  check Alcotest.int "hit surfaced in breakdown" 1
-    second.Serve.synth.Synth.breakdown.Synth.registry_hits;
+  check pair "hit surfaced, no miss" (1, 0) (counts second);
   checkb "hit serves the stored quality" true
     (second.Serve.synth.Synth.time
     <= first.Serve.synth.Synth.time *. (1.0 +. 1e-6));
   (* Without a registry both counters stay zero. *)
   let bare = Serve.run (req ~size:32768.0 ()) in
-  check Alcotest.int "no registry, no misses" 0
-    bare.Serve.synth.Synth.breakdown.Synth.registry_misses;
-  check Alcotest.int "no registry, no hits" 0
-    bare.Serve.synth.Synth.breakdown.Synth.registry_hits
+  check pair "no registry, no hits or misses" (0, 0) (counts bare)
 
 let test_fast_only_not_stored () =
   let reg = fresh_registry () in
@@ -341,18 +361,33 @@ let with_faults spec f =
 
 let test_registry_crash_failopen () =
   let reg = fresh_registry () in
+  let sink = Audit.for_registry reg in
   Synth.reset_caches ();
   let r = req () in
   (* Write path: the store crashes, the response does not. *)
   let o, store_errors =
     delta "registry.store_errors" (fun () ->
-        with_faults "registry.crash:1.0" (fun () -> Serve.run ~registry:reg r))
+        with_faults "registry.crash:1.0" (fun () ->
+            Serve.run ~registry:reg ~audit:sink r))
   in
   checkb "crashed store still serves" true
     (o.Serve.source = Serve.From_synthesis);
   checkb "store crash counted" true (store_errors >= 1.0);
   check Alcotest.int "nothing persisted through the crash" 0
     (Registry.length reg);
+  (* The outcome, the audit record and the replayed counters all say the
+     store did not happen. *)
+  checkb "outcome records no store" false o.Serve.stored;
+  (match Audit.read (Audit.path sink) with
+  | [ rc ], 0 ->
+      checkb "audit records no store" false rc.Audit.stored;
+      let (), stores =
+        delta "registry.stores" (fun () -> Audit.replay_counters rc)
+      in
+      check (Alcotest.float 0.0) "replay adds no store" 0.0 stores
+  | records, bad ->
+      Alcotest.failf "expected one audit record, got %d (+%d bad)"
+        (List.length records) bad);
   (* Read path: store cleanly, then crash the lookup — a counted corrupt
      miss that falls back to synthesis, never a serving error. *)
   Synth.reset_caches ();
@@ -459,7 +494,7 @@ let test_verify_entry_nonmutating () =
   close_out oc;
   let (verdict, corrupt), misses =
     delta "registry.misses" (fun () ->
-        delta "registry.corrupt" (fun () -> Registry.verify_entry reg ~topo key))
+        delta "registry.miss.corrupt" (fun () -> Registry.verify_entry reg ~topo key))
   in
   checkb "corruption reported" true
     (match verdict with Registry.Entry_corrupt _ -> true | _ -> false);
@@ -486,32 +521,21 @@ let test_shard_layout_manifest () =
     (Sys.file_exists (entry_path reg k));
   checkb "shard name is the key's first two hex chars" true
     (Registry.shard_of_key k = String.sub k 0 2);
-  let s = Registry.layout_stats reg in
-  check Alcotest.int "one sharded entry" 1 s.Registry.sharded;
-  check Alcotest.int "no flat stragglers" 0 s.Registry.flat;
-  check Alcotest.int "one shard in use" 1 s.Registry.shards_in_use
-
-let test_legacy_flat_entry () =
-  let reg = fresh_registry () in
-  let schedules = Fallback.schedule topo coll in
-  Registry.store reg topo coll ~cost:(simulate schedules) ~chosen:"fallback"
-    schedules;
-  let k = Registry.key topo coll in
-  (* Demote the entry to the v1 flat layout by hand: reads must keep
-     serving it, and migrate must move it home. *)
-  let flat = Filename.concat (Registry.dir reg) (k ^ ".json") in
-  Sys.rename (entry_path reg k) flat;
-  checkb "flat legacy entry still hits" true
-    (Registry.lookup reg topo coll <> None);
-  check Alcotest.int "length sees the flat entry" 1 (Registry.length reg);
-  let s = Registry.layout_stats reg in
-  check Alcotest.int "layout_stats counts it flat" 1 s.Registry.flat;
-  check Alcotest.int "migrate resolves one straggler" 1 (Registry.migrate reg);
-  checkb "migrated into its shard" true (Sys.file_exists (entry_path reg k));
-  checkb "flat copy gone" false (Sys.file_exists flat);
-  checkb "still hits after migration" true
-    (Registry.lookup reg topo coll <> None);
-  check Alcotest.int "migrate is idempotent" 0 (Registry.migrate reg)
+  check Alcotest.int "one entry" 1 (Registry.length reg);
+  (* A manifest declaring any other layout stops open_dir with a one-line
+     error naming the declared version. *)
+  List.iter
+    (fun v ->
+      let oc = open_out (Filename.concat (Registry.dir reg) "MANIFEST.json") in
+      Printf.fprintf oc "{\"layout_version\": %d}\n" v;
+      close_out oc;
+      match Registry.open_dir (Registry.dir reg) with
+      | _ -> Alcotest.failf "layout version %d must be rejected" v
+      | exception Failure msg ->
+          checkb "one-line error" false (String.contains msg '\n');
+          checkb "names the declared version" true
+            (contains msg (Printf.sprintf "layout version %d" v)))
+    [ 1; 3 ]
 
 let test_shard_racing_writers () =
   let reg = fresh_registry () in
@@ -538,9 +562,6 @@ let test_shard_racing_writers () =
   | Ok v -> check Alcotest.int "manifest consistent after the race"
               Registry.layout_version v
   | Error e -> Alcotest.fail ("manifest damaged by the race: " ^ e));
-  let s = Registry.layout_stats reg in
-  check Alcotest.int "all sharded" 16 s.Registry.sharded;
-  check Alcotest.int "none flat" 0 s.Registry.flat;
   List.iter
     (fun c ->
       checkb "entry sits in its own shard" true
@@ -757,17 +778,16 @@ let test_lower_hook () =
   checkb "unhooked record says so" true
     ((not r0.Audit.lowered) && r0.Audit.lower_check = None)
 
-let test_audit_legacy_record () =
-  (* Records written before the lowering fields existed must still parse,
-     defaulting to lowered=false / no verdict. *)
+let test_audit_record_without_lowering () =
+  (* Every record field is required: a record without the lowering fields
+     is a bad line, not a record with defaults. *)
   let reg = fresh_registry () in
   let sink = Audit.for_registry reg in
   Synth.reset_caches ();
   let _ = Serve.run ~registry:reg ~audit:sink (req ()) in
   let records, _ = Audit.read (Audit.path sink) in
-  let rc = List.hd records in
-  let legacy =
-    match Audit.record_to_json rc with
+  let stripped =
+    match Audit.record_to_json (List.hd records) with
     | Json.Obj fields ->
         Json.Obj
           (List.filter
@@ -775,10 +795,12 @@ let test_audit_legacy_record () =
              fields)
     | _ -> Alcotest.fail "record encoding is not an object"
   in
-  let rc' = Audit.record_of_json legacy in
-  checkb "legacy record defaults lowered=false" false rc'.Audit.lowered;
-  checkb "legacy record has no verdict" true (rc'.Audit.lower_check = None);
-  check Alcotest.string "other fields preserved" rc.Audit.key rc'.Audit.key
+  let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 (Audit.path sink) in
+  output_string oc (Json.to_string stripped ^ "\n");
+  close_out oc;
+  let records, bad = Audit.read (Audit.path sink) in
+  check Alcotest.int "the complete record still reads" 1 (List.length records);
+  check Alcotest.int "the record without lowering fields is bad" 1 bad
 
 let suite =
   [
@@ -798,8 +820,8 @@ let suite =
       test_registry_schema_mismatch;
     Alcotest.test_case "concurrent writers leave a valid entry" `Quick
       test_registry_concurrent_writers;
-    Alcotest.test_case "registry hits/misses surface in breakdown" `Quick
-      test_outcome_breakdown_counters;
+    Alcotest.test_case "registry hits/misses surface in outcome JSON" `Quick
+      test_outcome_registry_counters;
     Alcotest.test_case "fast-only outcomes are not stored" `Quick
       test_fast_only_not_stored;
     Alcotest.test_case "batch dedupes equal requests" `Quick test_batch_dedupe;
@@ -814,20 +836,18 @@ let suite =
       test_verify_entry_nonmutating;
     Alcotest.test_case "sharded layout and manifest" `Quick
       test_shard_layout_manifest;
-    Alcotest.test_case "legacy flat entries serve and migrate" `Quick
-      test_legacy_flat_entry;
     Alcotest.test_case "racing writers across shards stay consistent" `Quick
       test_shard_racing_writers;
     Alcotest.test_case "near-miss probe transports symmetric roots" `Quick
       test_transported_hit;
     Alcotest.test_case "near-miss probe rescales adjacent buckets" `Quick
       test_cross_bucket_hit;
-    Alcotest.test_case "compact migrates, prunes and evicts" `Quick
+    Alcotest.test_case "compact prunes and evicts" `Quick
       test_registry_compact;
     Alcotest.test_case "lower hook verdicts reach outcome and audit" `Quick
       test_lower_hook;
-    Alcotest.test_case "legacy audit records parse without lowering fields"
-      `Quick test_audit_legacy_record;
+    Alcotest.test_case "audit records lacking lowering are rejected" `Quick
+      test_audit_record_without_lowering;
   ]
 
 let () = Alcotest.run "syccl-serve" [ ("serve", suite) ]

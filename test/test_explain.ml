@@ -126,20 +126,7 @@ let test_analysis_multirail () =
       time = a.Analysis.makespan;
       busbw = C.busbw coll ~time:a.Analysis.makespan;
       synth_time = 0.0;
-      breakdown =
-        {
-          Syccl.Synthesizer.search_s = 0.0;
-          combine_s = 0.0;
-          solve1_s = 0.0;
-          solve2_s = 0.0;
-          cache_hits = 0;
-          cache_misses = 0;
-          milp_solves = 0;
-          milp_nodes = 0;
-          flow_certified = 0;
-          registry_hits = 0;
-          registry_misses = 0;
-        };
+      breakdown = Syccl.Synthesizer.zero_breakdown;
       num_sketches = 0;
       num_combos = 0;
       chosen = "ring baseline";

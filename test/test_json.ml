@@ -87,12 +87,14 @@ let test_schedule_schema_version () =
   Alcotest.(check bool) "to_json stamps the current schema version" true
     (List.assoc_opt "schema_version" fields
     = Some (Json.Num (float_of_int Schedule.schema_version)));
-  (* A legacy encoding (no version field) is still read as v1... *)
-  let legacy = Json.Obj (List.remove_assoc "schema_version" fields) in
-  Alcotest.(check int) "versionless legacy encoding accepted"
-    (Schedule.num_xfers s)
-    (Schedule.num_xfers (Schedule.of_json legacy));
-  (* ...but an explicit mismatch is rejected with a clear Parse_error. *)
+  (* A document without a version is rejected... *)
+  let versionless = Json.Obj (List.remove_assoc "schema_version" fields) in
+  (match Schedule.of_json versionless with
+  | exception Json.Parse_error msg ->
+      Alcotest.(check bool) "error names the missing field" true
+        (Astring_replacement.contains msg "schema_version")
+  | _ -> Alcotest.fail "a missing schema_version must be rejected");
+  (* ...and so is a mismatch, with a clear Parse_error. *)
   let future =
     Json.Obj
       (List.map

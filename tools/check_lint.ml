@@ -49,11 +49,11 @@
 
 (* 8. No direct [Sys.readdir] in lib/serve or lib/check outside
       registry.ml — the sharded registry's directory layout (shard
-      fan-out, MANIFEST.json, legacy flat entries) is an implementation
-      detail of Registry.  Code that walks a registry directory by hand
-      sees a half-migrated or mid-compaction layout; enumeration must go
-      through Registry.keys / Registry.layout_stats, which know the
-      layout version and skip non-entry files. *)
+      fan-out, MANIFEST.json, temp files) is an implementation detail of
+      Registry.  Code that walks a registry directory by hand sees
+      mid-write temp files or a mid-compaction layout; enumeration must go
+      through Registry.keys, which knows the layout and skips non-entry
+      files. *)
 
 (* 9. No hand-rolled XML emission ([printf]/[Buffer.add_string] of a
       literal opening with '<') outside lib/sim/msccl.ml — ad-hoc XML
@@ -141,8 +141,8 @@ let rules =
     {
       name = "direct registry directory walk";
       hint =
-        "enumerate registry entries via Registry.keys/layout_stats, not \
-         Sys.readdir (the shard layout is Registry's implementation detail)";
+        "enumerate registry entries via Registry.keys, not Sys.readdir \
+         (the shard layout is Registry's implementation detail)";
       applies =
         (fun path ->
           let has sub s =
