@@ -33,6 +33,10 @@ let report_check = ref false
    comparison (see bench_report). *)
 let report_fleet = ref None
 
+(* `report --sim=FILE`: gate BENCH_sim.json against --baseline instead of
+   the milp comparison (see bench_report). *)
+let report_sim = ref None
+
 (* Pool/cache activity footer for the synthesis-time figures. *)
 let runtime_stats () =
   let v = Counters.value in
@@ -806,16 +810,140 @@ let bench_fleet () =
   close_out oc;
   Printf.printf "   wrote BENCH_fleet.json\n%!"
 
+(* --- `sim` target: reference event loop vs the flat simulator kernel ----- *)
+
+(* A/B of the retired record-and-hash event loop (Syccl_check.Sim_ref)
+   against the production kernel (Sim.run) at 8 blocks, on the schedules a
+   registry hit re-simulates and its fallback guard simulates: the
+   synthesized a100-16 anchors (root 0) and their Fallback ladder
+   schedules, for the four unrooted kinds plus Broadcast.  --smoke keeps
+   the 1 MiB anchor only.  Each row records the summed block events, both
+   kernels' seconds and allocated words per pass over the row's phases,
+   and whether every report agreed bit for bit; the process fails on any
+   disagreement.  Writes BENCH_sim.json for `report --check --sim=...`. *)
+let bench_sim () =
+  let module Json = Syccl_util.Json in
+  let module Sim_ref = Syccl_check.Sim_ref in
+  let module Fallback = Syccl_baselines.Fallback in
+  Printf.printf "\n== bench sim: reference event loop vs flat kernel ==\n";
+  let topo = Syccl_serve.Request.topo_of_name "a100-16" in
+  let n = T.num_gpus topo in
+  let sizes =
+    if !smoke then [ 1.048576e6 ] else Syccl_serve.Fleet.default_anchors
+  in
+  let kinds = [ C.AllGather; C.ReduceScatter; C.AllToAll; C.AllReduce; C.Broadcast ] in
+  let config = { Synth.default_config with Synth.domains = 1 } in
+  let blocks = 8 in
+  (* Seconds per pass of [f] and of [g]: each the fastest of five
+     alternating trials of at least 10 ms, so a slow spell of a shared host
+     hits both kernels and drops out. *)
+  let per_pass f =
+    let t0 = Unix.gettimeofday () in
+    let rec go k =
+      f ();
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt < 0.01 then go (k + 1) else dt /. float_of_int k
+    in
+    go 1
+  in
+  let fastest f g =
+    let rec go trials (bf, bg) =
+      if trials = 0 then (bf, bg)
+      else go (trials - 1) (Float.min bf (per_pass f), Float.min bg (per_pass g))
+    in
+    go 5 (infinity, infinity)
+  in
+  (* Words allocated, minor heap plus direct major-heap allocations (large
+     arrays).  Gc.minor_words is exact at any time; Gc.counters' major and
+     promoted words move together at minor collections, so their
+     difference counts only the direct major allocations. *)
+  let words f =
+    let direct_major () =
+      let _, promoted, major = Gc.counters () in
+      major -. promoted
+    in
+    let minor0 = Gc.minor_words () and major0 = direct_major () in
+    f ();
+    Gc.minor_words () -. minor0 +. (direct_major () -. major0)
+  in
+  Printf.printf "%-13s %5s %-8s | %7s | %9s %9s %8s | %9s %9s\n" "kind" "size"
+    "source" "events" "ref_s" "sim_s" "speedup" "ref_words" "sim_words";
+  let rows =
+    List.concat_map
+      (fun size ->
+        List.concat_map
+          (fun kind ->
+            let coll = C.make ~root:0 kind ~n ~size in
+            let anchor = (Synth.synthesize ~config topo coll).Synth.schedules in
+            List.map
+              (fun (source, phases) ->
+                let pass run () = List.iter (fun s -> ignore (run s)) phases in
+                let ref_run s = Sim_ref.run ~blocks topo s
+                and sim_run s = Sim.run ~blocks topo s in
+                let reports_match =
+                  List.for_all
+                    (fun s -> Sim_ref.identical (sim_run s) (ref_run s))
+                    phases
+                in
+                if not reports_match then begin
+                  Printf.printf
+                    "bench sim: kernels disagree on %s %s (%s)\n"
+                    (C.kind_name kind) (pp_size size) source;
+                  exit 1
+                end;
+                let events =
+                  List.fold_left (fun a s -> a + (sim_run s).Sim.events) 0 phases
+                in
+                let ref_s, sim_s = fastest (pass ref_run) (pass sim_run) in
+                let ref_words = words (pass ref_run) and sim_words = words (pass sim_run) in
+                let speedup = if sim_s > 0.0 then ref_s /. sim_s else 0.0 in
+                Printf.printf "%-13s %5s %-8s | %7d | %9.2e %9.2e %7.2fx | %9.0f %9.0f\n%!"
+                  (C.kind_name kind) (pp_size size) source events ref_s sim_s
+                  speedup ref_words sim_words;
+                Json.Obj
+                  [
+                    ("kind", Json.Str (C.kind_name kind));
+                    ("size", Json.Num size);
+                    ("source", Json.Str source);
+                    ("phases", Json.Num (float_of_int (List.length phases)));
+                    ("events", Json.Num (float_of_int events));
+                    ("ref_s", Json.Num ref_s);
+                    ("sim_s", Json.Num sim_s);
+                    ("speedup", Json.Num speedup);
+                    ("ref_alloc_words", Json.Num ref_words);
+                    ("sim_alloc_words", Json.Num sim_words);
+                    ("reports_match", Json.Bool reports_match);
+                  ])
+              [ ("anchor", anchor); ("fallback", Fallback.schedule topo coll) ])
+          kinds)
+      sizes
+  in
+  let json =
+    Json.Obj
+      [
+        ("schema_version", Json.Num 1.0);
+        ("bench", Json.Str "sim");
+        ("mode", Json.Str (if !smoke then "smoke" else "full"));
+        ("topology", Json.Str "a100-16");
+        ("blocks", Json.Num (float_of_int blocks));
+        ("rows", Json.List rows);
+      ]
+  in
+  let oc = open_out "BENCH_sim.json" in
+  output_string oc (Json.to_string ~pretty:true json);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "   wrote BENCH_sim.json\n%!"
+
 (* --- Bench observatory: regression report over BENCH_*.json ------------- *)
 
-(* Compare the current BENCH_milp.json against a committed baseline and
-   exit non-zero on regression.  Absolute timings are machine-dependent,
-   so the gate is ratio-based: a row regresses when its revised-vs-dense
-   speedup falls below baseline/threshold, its warm-start hit rate
-   collapses (more than 25 points below baseline), or the engines stopped
-   agreeing on objectives.  --check makes an unusable comparison (missing
-   file, zero matched rows) itself a failure, so the CI gate can never
-   pass vacuously. *)
+(* Regression gates over the BENCH_*.json files, exiting non-zero on a
+   regression: the fleet hit rate (--fleet=FILE), the simulator kernels
+   (--sim=FILE) and, by default, the MILP engines (--current, default
+   BENCH_milp.json), the last two against --baseline.  Absolute timings
+   are machine-dependent, so the gates are ratio- and count-based.
+   --check makes an unusable comparison (missing file, zero matched rows)
+   itself a failure, so the CI gate can never pass vacuously. *)
 let bench_report () =
   let module Json = Syccl_util.Json in
   let read path =
@@ -836,8 +964,54 @@ let bench_report () =
     match row with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
   in
   let num row k = match field row k with Some (Json.Num v) -> v | _ -> nan in
-  match !report_fleet with
-  | Some path ->
+  let str row k = match field row k with Some (Json.Str v) -> v | _ -> "?" in
+  (* Compare [current] against --baseline row by row, matched on [key];
+     [judge baseline_row current_row] gives the row's printed figures and
+     its problems.  Exits non-zero on any problem or on a baseline row
+     missing from the current run; --check also fails a missing file or
+     zero matched rows, so the gate can never pass vacuously. *)
+  let gate_rows ~current ~key ~judge =
+    let base = read !report_baseline and cur = read current in
+    Printf.printf "\n== bench report: %s vs baseline %s (threshold %.1fx) ==\n"
+      current !report_baseline !report_threshold;
+    (match (base, cur) with
+    | None, _ | _, None ->
+        Printf.printf "report: missing %s\n"
+          (if base = None then !report_baseline else current);
+        if !report_check then exit 1
+    | Some _, Some _ -> ());
+    let find row l = List.find_opt (fun r -> key r = key row) l in
+    let regressions = ref 0 and matched = ref 0 in
+    List.iter
+      (fun crow ->
+        match find crow (rows base) with
+        | None -> Printf.printf "%-30s | new row (no baseline)\n" (key crow)
+        | Some brow ->
+            incr matched;
+            let figures, problems = judge brow crow in
+            if problems <> [] then incr regressions;
+            Printf.printf "%-30s | %s | %s\n" (key crow) figures
+              (if problems = [] then "ok" else String.concat "," problems))
+      (rows cur);
+    List.iter
+      (fun brow ->
+        if find brow (rows cur) = None then begin
+          incr regressions;
+          Printf.printf "%-30s | row missing from current run\n" (key brow)
+        end)
+      (rows base);
+    if !report_check && !matched = 0 then begin
+      Printf.printf "report: no comparable rows — gate is vacuous\n";
+      exit 1
+    end;
+    if !regressions > 0 then begin
+      Printf.printf "report: %d regressed row(s)\n" !regressions;
+      exit 1
+    end
+    else Printf.printf "report: no regressions (%d rows compared)\n" !matched
+  in
+  match (!report_fleet, !report_sim) with
+  | Some path, _ ->
       (* Fleet registry hit-rate gate: every family warmed by
          `fleet` must reach >=90% transported + cross-bucket hits on its
          cold production grid.  --check keeps the gate non-vacuous: a
@@ -879,63 +1053,43 @@ let bench_report () =
           else
             Printf.printf "report: fleet gate ok (%d families)\n"
               (List.length frows))
-  | None ->
-  let base = read !report_baseline and cur = read !report_current in
-  Printf.printf "\n== bench report: %s vs baseline %s (threshold %.1fx) ==\n"
-    !report_current !report_baseline !report_threshold;
-  (match (base, cur) with
-  | None, _ | _, None ->
-      Printf.printf "report: missing %s\n"
-        (if base = None then !report_baseline else !report_current);
-      if !report_check then exit 1
-  | Some _, Some _ -> ());
-  Printf.printf "%5s | %9s %9s %7s | %s\n" "gpus" "base_spd" "cur_spd" "ratio"
-    "verdict";
-  let regressions = ref 0 and matched = ref 0 in
-  List.iter
-    (fun crow ->
-      let gpus = num crow "gpus" in
-      match
-        List.find_opt (fun brow -> num brow "gpus" = gpus) (rows base)
-      with
-      | None ->
-          Printf.printf "%5.0f | %9s %9s %7s | new row (no baseline)\n" gpus
-            "-" "-" "-"
-      | Some brow ->
-          incr matched;
+  | None, Some path ->
+      (* Simulator kernel gate: rows are matched on (kind, size, source).
+         A row regresses when the two kernels stopped agreeing bit for bit,
+         its block-event count moved (the schedules or the kernel's event
+         accounting changed), or its speedup over the reference loop fell
+         below baseline/threshold. *)
+      gate_rows ~current:path
+        ~key:(fun row ->
+          Printf.sprintf "%s/%.0f/%s" (str row "kind") (num row "size")
+            (str row "source"))
+        ~judge:(fun brow crow ->
           let bs = num brow "speedup" and cs = num crow "speedup" in
-          let objectives_ok =
-            field crow "objectives_match" = Some (Json.Bool true)
-          in
-          let warm_ok =
-            num crow "warm_hit_rate" >= num brow "warm_hit_rate" -. 0.25
-          in
-          let speed_ok = cs *. !report_threshold >= bs in
-          let problems =
-            (if objectives_ok then [] else [ "objectives-mismatch" ])
-            @ (if warm_ok then [] else [ "warm-rate-collapse" ])
-            @ if speed_ok then [] else [ "speedup-regression" ]
-          in
-          if problems <> [] then incr regressions;
-          Printf.printf "%5.0f | %8.1fx %8.1fx %6.2fx | %s\n" gpus bs cs
-            (if bs > 0.0 then cs /. bs else 1.0)
-            (if problems = [] then "ok" else String.concat "," problems))
-    (rows cur);
-  List.iter
-    (fun brow ->
-      let gpus = num brow "gpus" in
-      if not (List.exists (fun crow -> num crow "gpus" = gpus) (rows cur))
-      then Printf.printf "%5.0f | row missing from current run\n" gpus)
-    (rows base);
-  if !report_check && !matched = 0 then begin
-    Printf.printf "report: no comparable rows — gate is vacuous\n";
-    exit 1
-  end;
-  if !regressions > 0 then begin
-    Printf.printf "report: %d regressed row(s)\n" !regressions;
-    exit 1
-  end
-  else Printf.printf "report: no regressions (%d rows compared)\n" !matched
+          ( Printf.sprintf "%6.0f events, speedup %5.2fx (baseline %5.2fx)"
+              (num crow "events") cs bs,
+            (if field crow "reports_match" = Some (Json.Bool true) then []
+             else [ "reports-mismatch" ])
+            @ (if num crow "events" = num brow "events" then []
+               else [ "events-changed" ])
+            @ if cs *. !report_threshold >= bs then []
+              else [ "speedup-regression" ] ))
+  | None, None ->
+      (* Solver gate: rows are matched on GPU count.  A row regresses when
+         its revised-vs-dense speedup falls below baseline/threshold, its
+         warm-start hit rate collapses (more than 25 points below
+         baseline), or the engines stopped agreeing on objectives. *)
+      gate_rows ~current:!report_current
+        ~key:(fun row -> Printf.sprintf "%.0f gpus" (num row "gpus"))
+        ~judge:(fun brow crow ->
+          let bs = num brow "speedup" and cs = num crow "speedup" in
+          ( Printf.sprintf "speedup %5.1fx (baseline %5.1fx)" cs bs,
+            (if field crow "objectives_match" = Some (Json.Bool true) then []
+             else [ "objectives-mismatch" ])
+            @ (if num crow "warm_hit_rate" >= num brow "warm_hit_rate" -. 0.25
+               then []
+               else [ "warm-rate-collapse" ])
+            @ if cs *. !report_threshold >= bs then []
+              else [ "speedup-regression" ] ))
 
 (* --- Trace emission (--trace=FILE) -------------------------------------- *)
 
@@ -999,6 +1153,7 @@ let targets =
     ("tab6", tab6); ("fig21a", fig21a); ("fig21b", fig21b); ("fig22a", fig22a);
     ("milp", bench_milp);
     ("fleet", bench_fleet);
+    ("sim", bench_sim);
     ("report", bench_report);
   ]
 
@@ -1020,6 +1175,7 @@ let () =
   Option.iter (fun v -> report_baseline := v) (keyed "--baseline=");
   Option.iter (fun v -> report_current := v) (keyed "--current=");
   Option.iter (fun v -> report_fleet := Some v) (keyed "--fleet=");
+  Option.iter (fun v -> report_sim := Some v) (keyed "--sim=");
   Option.iter
     (fun v -> report_threshold := float_of_string v)
     (keyed "--threshold=");

@@ -20,6 +20,7 @@ module Synthesizer = Syccl.Synthesizer
 module Transport = Syccl_sim.Transport
 module Msccl_interp = Syccl_sim.Msccl_interp
 module Fault = Syccl_topology.Fault
+module Link = Syccl_topology.Link
 module Failover = Syccl_serve.Failover
 module Reroute = Syccl.Reroute
 
@@ -602,6 +603,150 @@ let prop_lp_differential ctx =
         (lp_status dense) (lp_status revised) (pp_lp p)
 
 (* ------------------------------------------------------------------ *)
+(* simulator differential: the production kernel (flat per-block arrays,
+   int heaps) against the retired record-and-hash loop kept in {!Sim_ref}.
+   Both pop blocks in the same order and do the same float operations, so
+   time, event count and every transfer's finish must agree bit for bit,
+   or both must raise the same exception — mutants reach the deadlock,
+   event-cap and bad-input paths.  The same inputs then check the early
+   exit of [Sim.phases_time]: an accepted bound never exceeds the full
+   time, the full time satisfies the predicate that accepted it, and
+   without an exit the result is the full time, bit for bit. *)
+
+let outcome f =
+  match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+
+let sim_divergence ~blocks topo s =
+  match
+    ( outcome (fun () -> Sim.run ~blocks topo s),
+      outcome (fun () -> Sim_ref.run ~blocks topo s) )
+  with
+  | Ok r, Ok r' ->
+      if Sim_ref.identical r r' then None
+      else
+        Some
+          (Printf.sprintf
+             "reports differ: time %h, %d events; reference time %h, %d events"
+             r.Sim.time r.Sim.events r'.Sim.time r'.Sim.events)
+  | Error e, Error e' when e = e' -> None
+  | Ok _, Error e' -> Some ("kernel completes, reference raises " ^ e')
+  | Error e, Ok _ -> Some ("kernel raises " ^ e ^ ", reference completes")
+  | Error e, Error e' -> Some ("kernel raises " ^ e ^ ", reference raises " ^ e')
+
+let prop_sim_differential ctx =
+  let rng = ctx.rng in
+  let topo = Gen.topology rng in
+  let coll = Gen.collective rng ~n:(Topology.num_gpus topo) in
+  let schedules =
+    let ss = Gen.schedules rng topo coll in
+    if X.bool rng then ss
+    else
+      let i = X.int rng (List.length ss) in
+      List.mapi
+        (fun j s ->
+          if j <> i then s
+          else
+            match Gen.mutate rng topo (Gen.mutation rng) s with
+            | Some m -> m
+            | None -> s)
+        ss
+  in
+  let blocks = X.pick rng [| 1; 2; 3; 8; 16 |] in
+  let early_exit () =
+    let full = outcome (fun () -> Sim.phases_time ~blocks topo schedules) in
+    let target =
+      match full with
+      | Ok t -> t *. X.pick rng [| 0.0; 0.3; 0.9; 1.0; 1.0 +. 1e-7; 1.5 |]
+      | Error _ -> X.float rng 1e-4
+    in
+    let accepts l = target <= l *. (1.0 +. 1e-6) in
+    let fired = ref false in
+    let stop l =
+      let ok = accepts l in
+      if ok then fired := true;
+      ok
+    in
+    match
+      (outcome (fun () -> Sim.phases_time ~blocks ~stop topo schedules), full)
+    with
+    | Ok l, Ok t when !fired ->
+        if l > t then failf "sim early exit: bound %h above full time %h" l t
+        else if not (accepts t) then
+          failf "sim early exit at %h, but the full time %h fails the predicate"
+            l t
+        else Pass
+    | Ok _, Error _ when !fired -> Pass (* exit pre-empted a later failure *)
+    | Ok l, Ok t ->
+        if Int64.equal (Int64.bits_of_float l) (Int64.bits_of_float t) then Pass
+        else failf "sim early exit: no exit, yet %h <> full %h" l t
+    | Error e, Error e' when e = e' -> Pass
+    | early, full ->
+        let show = function Ok t -> Printf.sprintf "%h" t | Error e -> e in
+        failf "sim early exit: %s, full run %s" (show early) (show full)
+  in
+  let rec go = function
+    | [] -> early_exit ()
+    | s :: rest -> (
+        match sim_divergence ~blocks topo s with
+        | None -> go rest
+        | Some why ->
+            let witness =
+              if ctx.shrink then
+                Shrink.schedule
+                  ~still_fails:(fun s -> sim_divergence ~blocks topo s <> None)
+                  s
+              else s
+            in
+            failf "sim-differential (blocks=%d): %s\n%s" blocks why
+              (pp_schedule witness))
+  in
+  go schedules
+
+(* ------------------------------------------------------------------ *)
+(* port bound: ports serialize blocks, so no simulator may finish a
+   schedule before its busiest (GPU, port group, direction) has pushed
+   β × bytes for every chunk routed through it.  Computed from the
+   schedule and the link table alone, sharing no code with [Sim]; the
+   slack covers per-block rounding. *)
+
+let prop_sim_port_bound ctx =
+  let rng = ctx.rng in
+  let topo = Gen.topology rng in
+  let coll = Gen.collective rng ~n:(Topology.num_gpus topo) in
+  let schedules = Gen.schedules rng topo coll in
+  let blocks = X.pick rng [| 1; 2; 3; 8; 16 |] in
+  let busiest (s : Schedule.t) =
+    let load = Hashtbl.create 64 in
+    let add port t =
+      Hashtbl.replace load port
+        (t +. Option.value (Hashtbl.find_opt load port) ~default:0.0)
+    in
+    List.iter
+      (fun (x : Schedule.xfer) ->
+        let d = Topology.dim topo x.dim in
+        let t = d.Topology.link.Link.beta *. s.Schedule.chunks.(x.chunk).size in
+        add (x.src, d.Topology.port_group, "out") t;
+        add (x.dst, d.Topology.port_group, "in") t)
+      s.Schedule.xfers;
+    Hashtbl.fold
+      (fun port t (best, bt) -> if t > bt then (Some port, t) else (best, bt))
+      load (None, 0.0)
+  in
+  let rec go = function
+    | [] -> Pass
+    | s :: rest -> (
+        let t = Sim.time ~blocks topo s in
+        match busiest s with
+        | Some (gpu, pg, dir), bound when t < bound *. (1.0 -. 1e-9) ->
+            failf
+              "sim-port-bound (blocks=%d): time %g below gpu%d pg%d %s port \
+               bound %g\n%s"
+              blocks t gpu pg dir bound (pp_schedule s)
+        | _ -> go rest)
+  in
+  go schedules
+
+(* ------------------------------------------------------------------ *)
 (* degraded validity: whatever rung of the ladder serves a punctured
    topology, the result must validate on the punctured topology — a
    degraded schedule crossing a dead link would be an outage dressed up
@@ -755,6 +900,8 @@ let all =
       check = prop_registry_transport };
     { name = "size-bucket"; heavy = false; check = prop_size_bucket };
     { name = "lp-differential"; heavy = false; check = prop_lp_differential };
+    { name = "sim-differential"; heavy = false; check = prop_sim_differential };
+    { name = "sim-port-bound"; heavy = false; check = prop_sim_port_bound };
     { name = "degraded-validity"; heavy = true; check = prop_degraded_validity };
     { name = "fault-orbit-transport"; heavy = false;
       check = prop_fault_orbit_transport };

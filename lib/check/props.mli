@@ -45,6 +45,14 @@ val all : prop list
       survive probes at another, and report store-time fidelity;
     - [size-bucket]: {!Syccl_serve.Registry.size_bucket} is the exact
       power-of-two floor;
+    - [sim-differential]: {!Syccl_sim.Sim.run} agrees bit for bit with
+      the retired event loop {!Sim_ref.run} (time, events, every transfer
+      finish, or the same exception) on generator schedules and mutants at
+      1, 2, 3, 8 and 16 blocks, and an early exit of
+      {!Syccl_sim.Sim.phases_time} never overshoots the full time and
+      fires only when the full time satisfies the same predicate;
+    - [sim-port-bound]: simulated time is at least the busiest (GPU, port
+      group, direction)'s β × bytes, computed without simulator code;
     - [lower-replay]: lowering any refcheck-valid schedule to MSCCL XML,
       parsing it back and replaying it under executor semantics
       ({!Syccl_sim.Msccl_interp}) completes without deadlock,

@@ -269,6 +269,19 @@ let parse_entry ~key:k path =
         m_bytes = String.length body;
       }
     in
+    (* Probes rescale by request size / entry size and compare simulated
+       times against the cost: a size that is not a positive finite byte
+       count (e.g. -65536, or 1e999 parsed as inf) or a non-finite cost
+       would poison both, so the entry is corrupt. *)
+    if not (Float.is_finite meta.m_size && meta.m_size > 0.0) then
+      raise
+        (Json.Parse_error
+           (Printf.sprintf "entry size %g is not a positive byte count"
+              meta.m_size));
+    if not (Float.is_finite meta.m_cost) then
+      raise
+        (Json.Parse_error
+           (Printf.sprintf "entry cost %g is not finite" meta.m_cost));
     let schedules =
       List.map Schedule.of_json (Json.to_list (Json.member "schedules" j))
     in
@@ -500,17 +513,31 @@ let probe_near t ~blocks topo (coll : Collective.t) =
   | candidates -> (
       (* The fallback ladder is the floor any served schedule must beat: a
          transported entry slower than the always-available baseline is
-         worse than missing. *)
+         worse than missing.  Only the fastest candidate can be served, so
+         the guard simulation stops as soon as its running bound admits
+         that candidate: the bound never exceeds the full floor, hence the
+         fastest passes the filter below either way (and if the full
+         simulation would have raised later, every candidate passes and
+         the fastest still wins). *)
+      let admits floor t = t <= floor *. (1.0 +. 1e-6) in
+      let t_min =
+        List.fold_left (fun a h -> Float.min a h.time) infinity candidates
+      in
       let floor_time =
         match Fallback.schedule topo coll with
         | exception _ -> None
-        | phases -> ( try Some (Sim.phases_time ~blocks topo phases) with _ -> None)
+        | phases -> (
+            try
+              Some
+                (Sim.phases_time ~blocks
+                   ~stop:(fun l -> admits l t_min)
+                   topo phases)
+            with _ -> None)
       in
       let accepted =
         match floor_time with
         | None -> candidates
-        | Some fb ->
-            List.filter (fun h -> h.time <= fb *. (1.0 +. 1e-6)) candidates
+        | Some fb -> List.filter (fun h -> admits fb h.time) candidates
       in
       match accepted with
       | [] -> miss Transport_rejected

@@ -5,7 +5,20 @@
     arrived at the relay.  Ports — one egress and one ingress per (GPU, port
     group) — serialize at [β·block_size] per block; a block lands
     [α + β·block_size] after it starts.  Every block event is processed
-    exactly once, so the cost is O(events · log events). *)
+    exactly once, so the cost is O(events · log events).
+
+    Cost model of the kernel: each block is one int id (its transfer's
+    offset plus the block index; transfers take their id ranges in
+    (priority, transfer) order), its state lives in flat per-id arrays,
+    and the main queue and the per-port waiting queues are int binary
+    heaps ordered by (key, id) — which is (key, priority, transfer,
+    block) order.  Ports and the two per-block costs are computed once
+    per transfer.  A block event allocates nothing beyond the amortized
+    doubling of a queue, so the garbage a run leaves is proportional to
+    the schedule's transfers and blocks, not to its events.  The retired
+    record-and-hash kernel is kept in [lib/check] ([Sim_ref]) as this
+    one's differential oracle: both pop blocks in the same order and
+    perform the same float operations, so they agree bit for bit. *)
 
 type report = {
   time : float;  (** completion time of the whole schedule, seconds *)
@@ -35,7 +48,21 @@ val time : ?blocks:int -> Syccl_topology.Topology.t -> Schedule.t -> float
 (** [time topo s] = [(run topo s).time]. *)
 
 val phases_time :
-  ?blocks:int -> Syccl_topology.Topology.t -> Schedule.t list -> float
+  ?blocks:int -> ?stop:(float -> bool) -> Syccl_topology.Topology.t ->
+  Schedule.t list -> float
 (** Completion time of a collective's phase schedules run back to back
     (AllReduce = ReduceScatter then AllGather, §4.3): {!time} summed over
-    the phases in order, from [0.0]. *)
+    the phases in order, from [0.0].
+
+    Early exit: with [stop], the simulation tracks the bound
+    L = (completed phases) + (running makespan of the current phase),
+    offers each new value of L to [stop], and returns the first L that
+    [stop] accepts without finishing; if none is accepted the result is
+    the full sum.  The makespan only grows, and IEEE addition rounds
+    monotonically, so every L offered is at most the full sum.  Hence for
+    a predicate that is monotone in L (once true, true for every larger
+    L) — such as [fun l -> t <= l *. (1. +. tol)] — an accepted L implies
+    [stop] holds at the full result too, so whether [stop] holds at the
+    returned value is the same as at the full sum.  An exit may also
+    pre-empt a failure (deadlock, event cap) the full simulation would
+    have raised later. *)

@@ -235,7 +235,36 @@ let test_registry_schema_mismatch () =
     delta "registry.miss.corrupt" (fun () -> Registry.lookup reg topo coll)
   in
   checkb "entry without blocks is a miss" true (result = None);
-  check (Alcotest.float 0.0) "missing blocks counted corrupt" 1.0 corrupt
+  check (Alcotest.float 0.0) "missing blocks counted corrupt" 1.0 corrupt;
+  (* A size that is not a positive finite byte count (1e999 parses to inf)
+     would send the rescale path into Schedule.scale with a factor <= 0:
+     the entry is corrupt, and serving synthesizes instead of crashing.
+     The raw number text is spliced in as the entry's first field. *)
+  let sizeless =
+    match j with
+    | Json.Obj fields -> Json.to_string (Json.Obj (List.remove_assoc "size" fields))
+    | _ -> Alcotest.fail "entry must be an object"
+  in
+  List.iter
+    (fun size ->
+      let oc = open_out path in
+      output_string oc ("{\"size\":" ^ size ^ ",");
+      output_string oc (String.sub sizeless 1 (String.length sizeless - 1));
+      close_out oc;
+      let result, corrupt =
+        delta "registry.miss.corrupt" (fun () -> Registry.lookup reg topo coll)
+      in
+      checkb ("size " ^ size ^ " is a miss") true (result = None);
+      check (Alcotest.float 0.0) ("size " ^ size ^ " counted corrupt") 1.0
+        corrupt;
+      let served, corrupt =
+        delta "registry.miss.corrupt" (fun () -> Serve.run ~registry:reg (req ()))
+      in
+      checkb ("size " ^ size ^ " served by synthesis") true
+        (served.Serve.source = Serve.From_synthesis);
+      check (Alcotest.float 0.0) ("size " ^ size ^ " serve counts corrupt") 1.0
+        corrupt)
+    [ "-65536"; "1e999" ]
 
 let test_registry_concurrent_writers () =
   let reg = fresh_registry () in

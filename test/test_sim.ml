@@ -145,6 +145,32 @@ let test_reverse_involution () =
   check (Alcotest.float 1e-12) "reverse is a cost involution" (Sim.time topo s)
     (Sim.time topo rr)
 
+let test_phases_time_early_exit () =
+  (* Two phases of one 1 MB send in 4 blocks, 2.5 us apart: 20 us in all.
+     With [stop], the bound offered is completed phases + running makespan,
+     rising block by block; the first accepted one is returned. *)
+  let topo = flat 2 100.0 0.0 in
+  let s = { Schedule.chunks = [| gather_chunk 1e6 [ 0 ] [ 1 ] |]; xfers = [ xfer 0 0 1 ] } in
+  let phases = [ s; s ] in
+  let full = Sim.phases_time ~blocks:4 topo phases in
+  check (Alcotest.float 1e-18) "full time" 2e-5 full;
+  let offered = ref [] in
+  let stop l =
+    offered := l :: !offered;
+    l >= 1.4e-5
+  in
+  let l = Sim.phases_time ~blocks:4 ~stop topo phases in
+  check (Alcotest.float 1e-18) "first accepted bound" 1.5e-5 l;
+  check
+    Alcotest.(list (float 1e-18))
+    "bounds offered, one per new makespan"
+    [ 2.5e-6; 5e-6; 7.5e-6; 1e-5; 1.25e-5; 1.5e-5 ]
+    (List.rev !offered);
+  check Alcotest.bool "a rejecting predicate leaves the full time" true
+    (Int64.equal
+       (Int64.bits_of_float full)
+       (Int64.bits_of_float (Sim.phases_time ~blocks:4 ~stop:(fun _ -> false) topo phases)))
+
 let test_union_shifts_chunks () =
   let a = { Schedule.chunks = [| gather_chunk 1.0 [ 0 ] [ 1 ] |]; xfers = [ xfer 0 0 1 ] } in
   let b = { Schedule.chunks = [| gather_chunk ~tag:7 2.0 [ 1 ] [ 0 ] |]; xfers = [ xfer 0 1 0 ] } in
@@ -211,6 +237,7 @@ let suite =
     qtest monotone_alpha_prop;
     qtest monotone_size_prop;
     ("reverse involution", `Quick, test_reverse_involution);
+    ("phases_time early exit", `Quick, test_phases_time_early_exit);
     ("union shifts chunks", `Quick, test_union_shifts_chunks);
     ("validate missing delivery", `Quick, test_validate_catches_missing_delivery);
     ("validate duplicate delivery", `Quick, test_validate_catches_duplicate);
