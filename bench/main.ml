@@ -29,14 +29,6 @@ let report_current = ref "BENCH_milp.json"
 let report_threshold = ref 8.0
 let report_check = ref false
 
-(* `report --fleet=FILE`: gate on BENCH_fleet.json instead of the milp
-   comparison (see bench_report). *)
-let report_fleet = ref None
-
-(* `report --sim=FILE`: gate BENCH_sim.json against --baseline instead of
-   the milp comparison (see bench_report). *)
-let report_sim = ref None
-
 (* Pool/cache activity footer for the synthesis-time figures. *)
 let runtime_stats () =
   let v = Counters.value in
@@ -712,7 +704,7 @@ let bench_milp () =
    keyed apart from its anchor — and measure how much of it the registry's
    symmetry probes serve without another synthesis: other roots by
    stabilizer transport, adjacent buckets by rescaling.  Writes
-   BENCH_fleet.json for `report --check --fleet=...` (the CI gate asserts
+   BENCH_fleet.json for `report --check --current=...` (the CI gate asserts
    >=90%) and fails in-process if any near-miss hit lacks its source-entry
    provenance in the audit trail. *)
 let bench_fleet () =
@@ -820,7 +812,7 @@ let bench_fleet () =
    the 1 MiB anchor only.  Each row records the summed block events, both
    kernels' seconds and allocated words per pass over the row's phases,
    and whether every report agreed bit for bit; the process fails on any
-   disagreement.  Writes BENCH_sim.json for `report --check --sim=...`. *)
+   disagreement.  Writes BENCH_sim.json for `report --check --current=...`. *)
 let bench_sim () =
   let module Json = Syccl_util.Json in
   let module Sim_ref = Syccl_check.Sim_ref in
@@ -938,12 +930,13 @@ let bench_sim () =
 (* --- Bench observatory: regression report over BENCH_*.json ------------- *)
 
 (* Regression gates over the BENCH_*.json files, exiting non-zero on a
-   regression: the fleet hit rate (--fleet=FILE), the simulator kernels
-   (--sim=FILE) and, by default, the MILP engines (--current, default
-   BENCH_milp.json), the last two against --baseline.  Absolute timings
-   are machine-dependent, so the gates are ratio- and count-based.
-   --check makes an unusable comparison (missing file, zero matched rows)
-   itself a failure, so the CI gate can never pass vacuously. *)
+   regression.  The gate is chosen by the "bench" field of --current
+   (default BENCH_milp.json): the fleet hit rate ("fleet"), or the
+   simulator kernels ("sim") or MILP engines ("milp") against --baseline.
+   Absolute timings are machine-dependent, so the gates are ratio- and
+   count-based.  --check makes an unusable comparison (missing file,
+   missing or unknown "bench" field, zero matched rows) itself a failure,
+   so the CI gate can never pass vacuously. *)
 let bench_report () =
   let module Json = Syccl_util.Json in
   let read path =
@@ -965,21 +958,24 @@ let bench_report () =
   in
   let num row k = match field row k with Some (Json.Num v) -> v | _ -> nan in
   let str row k = match field row k with Some (Json.Str v) -> v | _ -> "?" in
+  let current = !report_current in
+  let unusable fmt =
+    Printf.ksprintf
+      (fun m ->
+        Printf.printf "report: %s\n" m;
+        if !report_check then exit 1)
+      fmt
+  in
   (* Compare [current] against --baseline row by row, matched on [key];
      [judge baseline_row current_row] gives the row's printed figures and
      its problems.  Exits non-zero on any problem or on a baseline row
-     missing from the current run; --check also fails a missing file or
-     zero matched rows, so the gate can never pass vacuously. *)
-  let gate_rows ~current ~key ~judge =
-    let base = read !report_baseline and cur = read current in
+     missing from the current run; --check also fails a missing baseline
+     or zero matched rows, so the gate can never pass vacuously. *)
+  let gate_rows cur ~key ~judge =
+    let base = read !report_baseline in
     Printf.printf "\n== bench report: %s vs baseline %s (threshold %.1fx) ==\n"
       current !report_baseline !report_threshold;
-    (match (base, cur) with
-    | None, _ | _, None ->
-        Printf.printf "report: missing %s\n"
-          (if base = None then !report_baseline else current);
-        if !report_check then exit 1
-    | Some _, Some _ -> ());
+    if base = None then unusable "missing %s" !report_baseline;
     let find row l = List.find_opt (fun r -> key r = key row) l in
     let regressions = ref 0 and matched = ref 0 in
     List.iter
@@ -1010,56 +1006,47 @@ let bench_report () =
     end
     else Printf.printf "report: no regressions (%d rows compared)\n" !matched
   in
-  match (!report_fleet, !report_sim) with
-  | Some path, _ ->
+  let cur = read current in
+  match Option.bind cur (fun j -> field j "bench") with
+  | Some (Json.Str "fleet") ->
       (* Fleet registry hit-rate gate: every family warmed by
          `fleet` must reach >=90% transported + cross-bucket hits on its
-         cold production grid.  --check keeps the gate non-vacuous: a
-         missing file or an empty row set fails outright. *)
+         cold production grid.  --check keeps the gate non-vacuous: an
+         empty row set fails outright. *)
       Printf.printf "\n== bench report: fleet registry hit-rate gate (%s) ==\n"
-        path;
-      (match read path with
-      | None ->
-          Printf.printf "report: missing %s\n" path;
-          if !report_check then exit 1
-      | Some j ->
-          let frows = rows (Some j) in
-          if frows = [] && !report_check then begin
-            Printf.printf "report: no fleet rows — gate is vacuous\n";
-            exit 1
-          end;
-          let below = ref 0 in
-          Printf.printf "%-16s | %8s %8s | %s\n" "family" "requests"
-            "hit-rate" "verdict";
-          List.iter
-            (fun row ->
-              let family =
-                match field row "family" with
-                | Some (Json.Str s) -> s
-                | _ -> "?"
-              in
-              let rate = num row "hit_rate" in
-              let ok = rate >= 0.9 in
-              if not ok then incr below;
-              Printf.printf "%-16s | %8.0f %7.1f%% | %s\n" family
-                (num row "requests") (100.0 *. rate)
-                (if ok then "ok" else "below 90% gate"))
-            frows;
-          if !below > 0 then begin
-            Printf.printf "report: %d family(ies) below the hit-rate gate\n"
-              !below;
-            exit 1
-          end
-          else
-            Printf.printf "report: fleet gate ok (%d families)\n"
-              (List.length frows))
-  | None, Some path ->
+        current;
+      let frows = rows cur in
+      if frows = [] && !report_check then begin
+        Printf.printf "report: no fleet rows — gate is vacuous\n";
+        exit 1
+      end;
+      let below = ref 0 in
+      Printf.printf "%-16s | %8s %8s | %s\n" "family" "requests" "hit-rate"
+        "verdict";
+      List.iter
+        (fun row ->
+          let rate = num row "hit_rate" in
+          let ok = rate >= 0.9 in
+          if not ok then incr below;
+          Printf.printf "%-16s | %8.0f %7.1f%% | %s\n" (str row "family")
+            (num row "requests") (100.0 *. rate)
+            (if ok then "ok" else "below 90% gate"))
+        frows;
+      if !below > 0 then begin
+        Printf.printf "report: %d family(ies) below the hit-rate gate\n"
+          !below;
+        exit 1
+      end
+      else
+        Printf.printf "report: fleet gate ok (%d families)\n"
+          (List.length frows)
+  | Some (Json.Str "sim") ->
       (* Simulator kernel gate: rows are matched on (kind, size, source).
          A row regresses when the two kernels stopped agreeing bit for bit,
          its block-event count moved (the schedules or the kernel's event
          accounting changed), or its speedup over the reference loop fell
          below baseline/threshold. *)
-      gate_rows ~current:path
+      gate_rows cur
         ~key:(fun row ->
           Printf.sprintf "%s/%.0f/%s" (str row "kind") (num row "size")
             (str row "source"))
@@ -1073,12 +1060,12 @@ let bench_report () =
                else [ "events-changed" ])
             @ if cs *. !report_threshold >= bs then []
               else [ "speedup-regression" ] ))
-  | None, None ->
+  | Some (Json.Str "milp") ->
       (* Solver gate: rows are matched on GPU count.  A row regresses when
          its revised-vs-dense speedup falls below baseline/threshold, its
          warm-start hit rate collapses (more than 25 points below
          baseline), or the engines stopped agreeing on objectives. *)
-      gate_rows ~current:!report_current
+      gate_rows cur
         ~key:(fun row -> Printf.sprintf "%.0f gpus" (num row "gpus"))
         ~judge:(fun brow crow ->
           let bs = num brow "speedup" and cs = num crow "speedup" in
@@ -1090,6 +1077,8 @@ let bench_report () =
                else [ "warm-rate-collapse" ])
             @ if cs *. !report_threshold >= bs then []
               else [ "speedup-regression" ] ))
+  | _ when cur = None -> unusable "missing %s" current
+  | _ -> unusable "%s has no known \"bench\" field (milp, sim or fleet)" current
 
 (* --- Trace emission (--trace=FILE) -------------------------------------- *)
 
@@ -1174,8 +1163,6 @@ let () =
   in
   Option.iter (fun v -> report_baseline := v) (keyed "--baseline=");
   Option.iter (fun v -> report_current := v) (keyed "--current=");
-  Option.iter (fun v -> report_fleet := Some v) (keyed "--fleet=");
-  Option.iter (fun v -> report_sim := Some v) (keyed "--sim=");
   Option.iter
     (fun v -> report_threshold := float_of_string v)
     (keyed "--threshold=");

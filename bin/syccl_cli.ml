@@ -1,21 +1,28 @@
-(* SyCCL command-line interface: inspect topologies, synthesize schedules,
-   sweep sizes.  See `syccl_cli --help`. *)
+(* SyCCL command-line interface: inspect topologies, synthesize and serve
+   schedules, lower them, and introspect the registry and audit trail.  See
+   `syccl_cli --help`.
+
+   Every command that produces a schedule gets it from Serve, which probes
+   the registry, synthesizes on a miss, stores the result and appends the
+   audit record.  The serving commands share three terms: the request
+   (-t/-c/-s/--faults), the serving context (--fast/-d/--deadline/
+   --registry/--audit) and the run's observability output
+   (--trace/--stats/--metrics/--stats-json/--metrics-out). *)
 
 open Cmdliner
 module T = Syccl_topology
 module C = Syccl_collective.Collective
 module S = Syccl_sim
+module Synth = Syccl.Synthesizer
+module Json = Syccl_util.Json
+module Counters = Syccl_util.Counters
+module Trace = Syccl_util.Trace
 module Request = Syccl_serve.Request
 module Registry = Syccl_serve.Registry
 module Serve = Syccl_serve.Serve
 module Audit = Syccl_serve.Audit
 module Failover = Syccl_serve.Failover
 module Fleet = Syccl_serve.Fleet
-
-(* Name resolution moved into the serve layer (Syccl_serve.Request) so the
-   CLI, batch files, tests and benches accept the same names. *)
-let topo_of_name = Request.topo_of_name
-let coll_of_name name ~n ~size = Request.coll_of_name name ~n ~size
 
 let topo_arg =
   Arg.(
@@ -34,11 +41,6 @@ let size_arg =
     value
     & opt float 1048576.0
     & info [ "s"; "size" ] ~docv:"BYTES" ~doc:"Data size in bytes.")
-
-let fast_arg =
-  Arg.(
-    value & flag
-    & info [ "fast" ] ~doc:"Skip the MILP refinement (fast solving only).")
 
 let faults_arg =
   Arg.(
@@ -68,106 +70,193 @@ let domains_arg =
            domain pool that is spawned once per level and reused across \
            calls.")
 
-let deadline_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "deadline" ] ~docv:"SECONDS"
-        ~doc:
-          "Wall-clock budget for the whole synthesis (or sweep).  When it \
-           is too tight, synthesis degrades gracefully — truncated search, \
-           skipped MILP refinement, precomputed-baseline fallback — instead \
-           of overshooting; the chosen ladder rung is reported.")
+(* --- the registry ------------------------------------------------------- *)
 
+(* --registry beats SYCCL_REGISTRY beats disabled; an empty value
+   disables. *)
 let registry_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "registry" ] ~docv:"DIR"
-        ~doc:
-          "Persistent schedule registry directory.  Synthesized schedules \
-           are stored there and later requests for the same (topology \
-           structure, collective, size bucket) are served from it — every \
-           hit is re-validated and re-simulated before being trusted.  \
-           Defaults to $(b,SYCCL_REGISTRY) when that variable is set; with \
-           neither, the registry is disabled.")
+  let nonempty = function Some "" -> None | dir -> dir in
+  Term.(
+    const nonempty
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "registry" ] ~docv:"DIR"
+            ~env:(Cmd.Env.info "SYCCL_REGISTRY")
+            ~doc:
+              "Persistent schedule registry directory.  Synthesized \
+               schedules are stored there and later requests for the same \
+               (topology structure, collective, size bucket) are served \
+               from it — every hit is re-validated and re-simulated before \
+               being trusted.  With neither this option nor its \
+               environment variable, the registry is disabled.  Commands \
+               that only read the registry require an existing directory."))
 
-(* --registry beats SYCCL_REGISTRY beats disabled. *)
-let registry_of = function
-  | Some dir -> Some (Registry.open_dir dir)
-  | None -> Registry.from_env ()
+let no_registry () =
+  failwith "no registry: pass --registry DIR or set SYCCL_REGISTRY"
 
-let require_registry rdir =
-  match registry_of rdir with
-  | Some r -> r
-  | None -> failwith "no registry: pass --registry DIR or set SYCCL_REGISTRY"
+(* Read-only commands open an existing registry and never create one, so a
+   mistyped path fails instead of reading an empty store. *)
+let existing_registry = function
+  | None -> no_registry ()
+  | Some dir when Sys.file_exists dir && Sys.is_directory dir ->
+      Registry.open_dir dir
+  | Some dir -> failwith (Printf.sprintf "no registry at %s" dir)
 
-let audit_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "audit" ] ~docv:"FILE"
-        ~doc:
-          "Append one audit JSONL record per request element to $(docv) \
-           (how it was served, registry probe outcome with miss reason, \
-           ladder rung, budget vs consumed, solver counter deltas).  \
-           Defaults to $(i,REGISTRY)/audit.jsonl when a registry is \
-           active; pass $(b,--audit none) to disable.")
+let registry_audit reg = Audit.path (Audit.for_registry reg)
 
-(* --audit FILE beats the registry-adjacent default; "none" disables. *)
-let audit_of registry = function
-  | Some "none" -> None
-  | Some path -> Some (Audit.open_file path)
-  | None -> Option.map Audit.for_registry registry
+(* --- the serving context ------------------------------------------------- *)
 
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "After the run, write every counter and histogram in Prometheus \
-           text exposition format to $(docv) ($(b,-) for stdout).")
+type serving = {
+  config : Synth.config;
+  registry : string option;
+  audit : string option;  (** --audit as given *)
+}
 
-let write_metrics_out = function
-  | None -> ()
-  | Some path ->
-      let text = Syccl_util.Counters.to_prometheus () in
-      if path = "-" then print_string text
-      else begin
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc;
-        Format.eprintf "metrics:    wrote %s@." path
-      end
+(* --fast/-d/--deadline/--registry/--audit.  warm takes it without --fast:
+   fast-only results are never stored. *)
+let serving ?(fast = true) () =
+  let fast_arg =
+    Arg.(
+      value & flag
+      & info [ "fast" ] ~doc:"Skip the MILP refinement (fast solving only).")
+  in
+  let deadline_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "deadline" ] ~docv:"SECONDS"
+          ~doc:
+            "Wall-clock budget for the whole synthesis (or sweep).  When \
+             it is too tight, synthesis degrades gracefully — truncated \
+             search, skipped MILP refinement, precomputed-baseline fallback \
+             — instead of overshooting; the chosen ladder rung is reported.")
+  in
+  let audit_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "audit" ] ~docv:"FILE"
+          ~doc:
+            "Append one audit JSONL record per request element to $(docv) \
+             (how it was served, registry probe outcome with miss reason, \
+             ladder rung, budget vs consumed, solver counter deltas).  \
+             Defaults to $(i,REGISTRY)/audit.jsonl when a registry is \
+             active; pass $(b,--audit none) to disable.")
+  in
+  let make fast_only domains deadline registry audit =
+    let config = { Synth.default_config with fast_only; domains; deadline } in
+    { config; registry; audit }
+  in
+  Term.(
+    const make
+    $ (if fast then fast_arg else const false)
+    $ domains_arg $ deadline_arg $ registry_arg $ audit_arg)
 
-let stats_arg =
-  Arg.(
-    value & flag
-    & info [ "stats" ]
-        ~doc:
-          "Print runtime counters (pool tasks/steals, cache hits/misses, \
-           per-stage wall time) after synthesis.")
+(* The registry a serving command stores into (created on first use) and
+   its audit sink: --audit FILE beats the registry-adjacent default, "none"
+   disables. *)
+let open_serving s =
+  let registry = Option.map Registry.open_dir s.registry in
+  let audit =
+    match s.audit with
+    | Some "none" -> None
+    | Some path -> Some (Audit.open_file path)
+    | None -> Option.map Audit.for_registry registry
+  in
+  (registry, audit)
 
-let metrics_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Print histogram metrics (sub-solve / MILP solve latencies, simplex \
-           pivots, branch-and-bound nodes, cache lookup latencies, pool queue \
-           latency) after the run.")
+let serve ?lower s requests =
+  let registry, audit = open_serving s in
+  Serve.run_batch ?registry ?audit ?lower requests
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record synthesis spans (and, for $(b,synth), a simulated \
-           link-occupancy timeline of the winning schedule) and write Chrome \
-           trace-event JSON to $(docv).  Load it at ui.perfetto.dev or \
-           chrome://tracing.")
+(* One request from -t/-c/-s/--faults under the serving config, with the
+   collective name as typed (lower names its programs after it). *)
+let request =
+  let make s topology collective size faults =
+    let faults = faults_of faults in
+    (s, Request.make ~config:s.config ~faults ~topology ~collective ~size (),
+     collective)
+  in
+  Term.(const make $ serving () $ topo_arg $ coll_arg $ size_arg $ faults_arg)
+
+let served_from (so : Serve.outcome) =
+  match so.Serve.source with
+  | Serve.From_registry { hit_key; via; _ } ->
+      Printf.sprintf "registry hit %s (%s)" hit_key (Registry.via_name via)
+  | Serve.From_synthesis -> "fresh synthesis"
+
+(* --- the run's observability output -------------------------------------- *)
+
+type output = {
+  trace : string option;
+  stats : bool;
+  metrics : bool;
+  stats_json : string option;
+  metrics_out : string option;
+}
+
+let output =
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record synthesis spans (and, when the run serves one request, \
+             a simulated link-occupancy timeline of its schedules) and \
+             write Chrome trace-event JSON to $(docv).  Load it at \
+             ui.perfetto.dev or chrome://tracing.")
+  in
+  let stats =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:
+            "Print runtime counters (pool tasks/steals, cache hits/misses, \
+             per-stage wall time) after the run.")
+  in
+  let metrics =
+    Arg.(
+      value & flag
+      & info [ "metrics" ]
+          ~doc:
+            "Print histogram metrics (sub-solve / MILP solve latencies, \
+             simplex pivots, branch-and-bound nodes, cache lookup \
+             latencies, pool queue latency) after the run.")
+  in
+  let stats_json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "stats-json" ] ~docv:"FILE"
+          ~doc:
+            "Write every counter and histogram as JSON to $(docv) ($(b,-) \
+             for stdout), preceded by the outcome and its per-stage \
+             breakdown when the run served one request.")
+  in
+  let metrics_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:
+            "After the run, write every counter and histogram in Prometheus \
+             text exposition format to $(docv) ($(b,-) for stdout).")
+  in
+  let make trace stats metrics stats_json metrics_out =
+    { trace; stats; metrics; stats_json; metrics_out }
+  in
+  Term.(const make $ trace $ stats $ metrics $ stats_json $ metrics_out)
+
+(* Write [text] to [path], or to stdout for "-"; [wrote] confirms a file
+   write. *)
+let write_out ?(wrote = ignore) path text =
+  if path = "-" then print_string text
+  else begin
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    wrote path
+  end
 
 let print_stats () =
   Format.printf "--- stats ---@.";
@@ -175,117 +264,122 @@ let print_stats () =
     (fun (k, v) ->
       if Float.is_integer v then Format.printf "%-28s %12.0f@." k v
       else Format.printf "%-28s %12.4f@." k v)
-    (Syccl_util.Counters.snapshot ())
+    (Counters.snapshot ())
 
 let print_metrics () =
   Format.printf "--- histograms ---@.";
   Format.printf "%-26s %8s %11s %11s %11s %11s %11s@." "histogram" "n" "mean"
     "p50" "p90" "p99" "max";
   List.iter
-    (fun (k, (h : Syccl_util.Counters.hist_stats)) ->
+    (fun (k, (h : Counters.hist_stats)) ->
       Format.printf "%-26s %8d %11.3e %11.3e %11.3e %11.3e %11.3e@." k h.n
         h.mean h.p50 h.p90 h.p99 h.hmax)
-    (Syccl_util.Counters.hist_snapshot ())
+    (Counters.hist_snapshot ())
 
-(* Every counter as a JSON object field; every histogram with its
-   percentile summary — the JSON face of the Prometheus exposition. *)
-let counters_json () =
-  let open Syccl_util.Json in
+(* The machine-readable run report: every counter and histogram with its
+   percentile summary, preceded by the outcome and its breakdown when
+   exactly one request was served. *)
+let stats_json served =
+  let open Json in
   let int i = Num (float_of_int i) in
-  let counters =
-    List.map (fun (k, v) -> (k, Num v)) (Syccl_util.Counters.snapshot ())
+  let outcome =
+    match served with
+    | [ (so : Serve.outcome) ] ->
+        let o = so.Serve.synth in
+        let b = o.Synth.breakdown in
+        let registry_hits, registry_misses = Serve.registry_counts so in
+        [
+          ("time_s", Num o.time);
+          ("busbw_gbps", Num o.busbw);
+          ("synth_time_s", Num o.synth_time);
+          ("num_sketches", int o.num_sketches);
+          ("num_combos", int o.num_combos);
+          ("chosen", Str o.chosen);
+          ("degraded", Str (Synth.level_name o.degraded));
+          ( "degrade_reason",
+            match o.degrade_reason with None -> Null | Some r -> Str r );
+          ( "breakdown",
+            Obj
+              [
+                ("search_s", Num b.search_s);
+                ("combine_s", Num b.combine_s);
+                ("solve1_s", Num b.solve1_s);
+                ("solve2_s", Num b.solve2_s);
+                ("cache_hits", int b.cache_hits);
+                ("cache_misses", int b.cache_misses);
+                ("milp_solves", int b.milp_solves);
+                ("milp_nodes", int b.milp_nodes);
+                ("flow_certified", int b.flow_certified);
+                ("registry_hits", int registry_hits);
+                ("registry_misses", int registry_misses);
+              ] );
+        ]
+    | _ -> []
   in
-  let hists =
-    List.map
-      (fun (k, (h : Syccl_util.Counters.hist_stats)) ->
-        ( k,
-          Obj
-            [
-              ("n", int h.n); ("sum", Num h.sum); ("mean", Num h.mean);
-              ("min", Num h.hmin); ("max", Num h.hmax); ("p50", Num h.p50);
-              ("p90", Num h.p90); ("p99", Num h.p99);
-            ] ))
-      (Syccl_util.Counters.hist_snapshot ())
+  let hist (h : Counters.hist_stats) =
+    Obj
+      [
+        ("n", int h.n); ("sum", Num h.sum); ("mean", Num h.mean);
+        ("min", Num h.hmin); ("max", Num h.hmax); ("p50", Num h.p50);
+        ("p90", Num h.p90); ("p99", Num h.p99);
+      ]
   in
-  (Obj counters, Obj hists)
-
-(* Machine-readable run report: outcome + breakdown + every counter and
-   histogram, as one JSON object. *)
-let stats_json (so : Serve.outcome) =
-  let open Syccl_util.Json in
-  let o = so.Serve.synth in
-  let b = o.breakdown in
-  let registry_hits, registry_misses = Serve.registry_counts so in
-  let int i = Num (float_of_int i) in
-  let counters, hists = counters_json () in
+  let counters = List.map (fun (k, v) -> (k, Num v)) (Counters.snapshot ()) in
+  let hists = List.map (fun (k, h) -> (k, hist h)) (Counters.hist_snapshot ()) in
   Obj
-    [
-      ("schema_version", int 1);
-      ("time_s", Num o.time);
-      ("busbw_gbps", Num o.busbw);
-      ("synth_time_s", Num o.synth_time);
-      ("num_sketches", int o.num_sketches);
-      ("num_combos", int o.num_combos);
-      ("chosen", Str o.chosen);
-      ("degraded", Str (Syccl.Synthesizer.level_name o.degraded));
-      ( "degrade_reason",
-        match o.degrade_reason with None -> Null | Some r -> Str r );
-      ( "breakdown",
-        Obj
-          [
-            ("search_s", Num b.search_s);
-            ("combine_s", Num b.combine_s);
-            ("solve1_s", Num b.solve1_s);
-            ("solve2_s", Num b.solve2_s);
-            ("cache_hits", int b.cache_hits);
-            ("cache_misses", int b.cache_misses);
-            ("milp_solves", int b.milp_solves);
-            ("milp_nodes", int b.milp_nodes);
-            ("flow_certified", int b.flow_certified);
-            ("registry_hits", int registry_hits);
-            ("registry_misses", int registry_misses);
-          ] );
-      ("counters", counters);
-      ("histograms", hists);
-    ]
+    ((("schema_version", int 1) :: outcome)
+    @ [ ("counters", Obj counters); ("histograms", Obj hists) ])
 
-(* Run-level stats for the multi-request commands (sweep/batch): no single
-   outcome to report, but the counters and histogram percentiles are the
-   point — they make the solver's behaviour reachable from JSON. *)
-let run_stats_json () =
-  let open Syccl_util.Json in
-  let counters, hists = counters_json () in
-  Obj
-    [
-      ("schema_version", Num 1.0);
-      ("counters", counters);
-      ("histograms", hists);
-    ]
-
-let write_json_file ~what path (j : Syccl_util.Json.t) =
-  let text = Syccl_util.Json.to_string ~pretty:true j ^ "\n" in
-  if path = "-" then print_string text
-  else begin
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    Format.eprintf "%s: wrote %s@." what path
-  end
-
-let write_stats_json path o = write_json_file ~what:"stats-json" path (stats_json o)
-
-let export_trace path =
-  Syccl_util.Trace.disable ();
-  Syccl_util.Trace.export_file path;
+(* Export the recorded spans.  When one request was served, its schedules
+   are first re-simulated with timeline export on: one Perfetto process per
+   phase, one track per active port. *)
+let export_trace served path =
+  Trace.set_process_name ~pid:Trace.synthesis_pid "synthesis";
+  (match served with
+  | [ (so : Serve.outcome) ] ->
+      let r = so.Serve.request in
+      List.iteri
+        (fun i s ->
+          let pid = Trace.sim_pid + i in
+          Trace.set_process_name ~pid
+            (Printf.sprintf "sim phase %d (virtual time)" i);
+          ignore
+            (S.Sim.run ~blocks:r.Request.config.blocks ~trace_pid:pid
+               r.Request.topo s))
+        so.Serve.synth.Synth.schedules
+  | _ -> ());
+  Trace.disable ();
+  Trace.export_file path;
   Format.printf "trace:      wrote %s (%d events, %d dropped) — load in \
                  ui.perfetto.dev@."
     path
-    (List.length (Syccl_util.Trace.events ()))
-    (Syccl_util.Trace.dropped ())
+    (List.length (Trace.events ()))
+    (Trace.dropped ())
+
+(* Run [serve] (recording spans when asked), then emit the run's output in
+   one order: trace, stats, metrics, stats-json, metrics-out. *)
+let with_output out serve =
+  if out.trace <> None then Trace.enable ();
+  let served = serve () in
+  Option.iter (export_trace served) out.trace;
+  if out.stats then print_stats ();
+  if out.metrics then print_metrics ();
+  Option.iter
+    (fun path ->
+      write_out ~wrote:(Format.eprintf "stats-json: wrote %s@.") path
+        (Json.to_string ~pretty:true (stats_json served) ^ "\n"))
+    out.stats_json;
+  Option.iter
+    (fun path ->
+      write_out ~wrote:(Format.eprintf "metrics:    wrote %s@.") path
+        (Counters.to_prometheus ()))
+    out.metrics_out
+
+(* --- commands ------------------------------------------------------------ *)
 
 let topo_cmd =
   let run name =
-    let topo = topo_of_name name in
+    let topo = Request.topo_of_name name in
     Format.printf "%a@." T.Topology.pp topo;
     Array.iteri
       (fun d share -> Format.printf "  bandwidth share dim %d: %.3f@." d share)
@@ -295,28 +389,18 @@ let topo_cmd =
     Term.(const run $ topo_arg)
 
 let synth_cmd =
-  let run tname cname size fast faults domains deadline stats verbose trace
-      metrics sjson rdir audit mout =
-    let config =
-      { Syccl.Synthesizer.default_config with fast_only = fast; domains;
-        deadline }
-    in
-    let req =
-      Request.make ~config ~faults:(faults_of faults) ~topology:tname
-        ~collective:cname ~size ()
-    in
-    let topo = req.Request.topo and coll = req.Request.coll in
-    let registry = registry_of rdir in
-    if trace <> None then Syccl_util.Trace.enable ();
-    let so = Serve.run ?registry ?audit:(audit_of registry audit) req in
+  let run (s, (req : Request.t), _) out verbose =
+    with_output out @@ fun () ->
+    let so = List.hd (serve s [ req ]) in
     let o = so.Serve.synth in
-    Format.printf "collective: %a on %s%s@." C.pp coll tname
+    Format.printf "collective: %a on %s%s@." C.pp req.Request.coll
+      req.Request.topo_name
       (match T.Fault.encode (Request.faults req) with
       | "" -> ""
-      | s -> Printf.sprintf " (faults %s)" s);
-    (match (registry, so.Serve.source) with
+      | f -> Printf.sprintf " (faults %s)" f);
+    (match (s.registry, so.Serve.source) with
     | None, _ -> ()
-    | Some reg, Serve.From_registry { hit_key; via; stored_cost } ->
+    | Some dir, Serve.From_registry { hit_key; via; stored_cost } ->
         Format.printf
           "registry:   hit %s%s in %s (stored cost %.1f us, re-validated)@."
           hit_key
@@ -325,9 +409,9 @@ let synth_cmd =
           | Registry.Rescaled -> " (rescaled)"
           | Registry.Transported -> " (transported)"
           | Registry.Scaled_cross -> " (rescaled cross-bucket)")
-          (Registry.dir reg) (stored_cost *. 1e6)
-    | Some reg, Serve.From_synthesis ->
-        Format.printf "registry:   miss in %s (%s)@." (Registry.dir reg)
+          dir (stored_cost *. 1e6)
+    | Some dir, Serve.From_synthesis ->
+        Format.printf "registry:   miss in %s (%s)@." dir
           (if so.Serve.stored then "stored for next time" else "not stored"));
     Format.printf "synthesis:  %.2fs (search %.2fs, combine %.2fs, solve1 %.2fs, solve2 %.2fs)@."
       o.synth_time o.breakdown.search_s o.breakdown.combine_s
@@ -339,121 +423,81 @@ let synth_cmd =
     Format.printf "sketches:   %d explored, %d combinations, winner: %s@."
       o.num_sketches o.num_combos o.chosen;
     Format.printf "ladder:     %s%s@."
-      (Syccl.Synthesizer.level_name o.degraded)
+      (Synth.level_name o.degraded)
       (match o.degrade_reason with None -> "" | Some r -> " (" ^ r ^ ")");
     Format.printf "predicted:  %.1f us, busbw %.1f GBps@." (o.time *. 1e6) o.busbw;
-    (match S.Validate.validate topo coll o.schedules with
+    (match S.Validate.validate req.Request.topo req.Request.coll o.schedules with
     | Ok () -> ()
     | Error e -> Format.printf "WARNING: schedule invalid: %s@." e);
     if verbose then
       List.iter (fun s -> Format.printf "%a@." S.Schedule.pp s) o.schedules;
-    (match trace with
-    | None -> ()
-    | Some path ->
-        (* Re-simulate the winning schedules with timeline export on: one
-           Perfetto process per phase, one track per active port. *)
-        Syccl_util.Trace.set_process_name ~pid:Syccl_util.Trace.synthesis_pid
-          "synthesis";
-        List.iteri
-          (fun i s ->
-            let pid = Syccl_util.Trace.sim_pid + i in
-            Syccl_util.Trace.set_process_name ~pid
-              (Printf.sprintf "sim phase %d (virtual time)" i);
-            ignore (S.Sim.run ~blocks:config.blocks ~trace_pid:pid topo s))
-          o.schedules;
-        export_trace path);
-    if stats then print_stats ();
-    if metrics then print_metrics ();
-    Option.iter (fun p -> write_stats_json p so) sjson;
-    write_metrics_out mout
+    [ so ]
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Dump the schedule.")
   in
-  let sjson =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~docv:"FILE"
-          ~doc:
-            "Write the outcome, per-stage breakdown, counters and histograms \
-             as JSON to $(docv) ($(b,-) for stdout).")
-  in
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a schedule and report its performance.")
-    Term.(
-      const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ faults_arg
-      $ domains_arg $ deadline_arg $ stats_arg $ verbose $ trace_arg
-      $ metrics_arg $ sjson $ registry_arg $ audit_arg $ metrics_out_arg)
+    Term.(const run $ request $ output $ verbose)
 
-(* A registry entry rendered as a synthesis outcome, so Explain.outcome can
-   report it: the schedules and chosen description are stored; the cost is
-   freshly re-simulated at the entry's store-time fidelity. *)
-let entry_outcome topo (m : Registry.meta) schedules =
-  let time = S.Sim.phases_time ~blocks:m.Registry.m_blocks topo schedules in
-  let coll =
-    C.make ~root:m.Registry.m_root ~peer:m.Registry.m_peer
-      (C.kind_of_name m.Registry.m_kind)
-      ~n:(T.Topology.num_gpus topo) ~size:m.Registry.m_size
-  in
-  {
-    Syccl.Synthesizer.schedules;
-    time;
-    busbw = C.busbw coll ~time;
-    synth_time = 0.0;
-    breakdown = Syccl.Synthesizer.zero_breakdown;
-    num_sketches = 0;
-    num_combos = 0;
-    chosen = m.Registry.m_chosen;
-    degraded = Syccl.Synthesizer.Full;
-    degrade_reason = None;
-  }
+(* The stored entry [key] as an outcome Explain.outcome can report, on the
+   topology it was synthesized for: -t's, or -t's punctured by the entry's
+   recorded fault set.  The schedules and chosen description are stored;
+   the cost is re-simulated at the entry's store-time fidelity. *)
+let explain_entry reg (req : Request.t) key =
+  let fail fmt = Printf.ksprintf (fun m -> failwith ("entry " ^ key ^ ": " ^ m)) fmt in
+  match Registry.load reg key with
+  | Error e -> fail "%s" e
+  | Ok (m, schedules) -> (
+      match Registry.entry_topology req.Request.topo m with
+      | Error e -> fail "%s" e
+      | Ok None ->
+          fail
+            "stored for topology fingerprint %s, which %s does not reach \
+             (even punctured by the entry's faults) — pass the matching -t"
+            m.Registry.m_fingerprint req.Request.topo_name
+      | Ok (Some topo) ->
+          let provenance =
+            Printf.sprintf
+              "registry entry %s in %s (%s, %.0f bytes data%s, stored cost \
+               %.1f us at blocks=%d, schema v%d)"
+              key (Registry.dir reg) m.Registry.m_kind m.Registry.m_size
+              (match m.Registry.m_faults with
+              | "" -> ""
+              | f -> ", faults " ^ f)
+              (m.Registry.m_cost *. 1e6)
+              m.Registry.m_blocks m.Registry.m_schema
+          in
+          let time =
+            S.Sim.phases_time ~blocks:m.Registry.m_blocks topo schedules
+          in
+          let coll =
+            C.make ~root:m.Registry.m_root ~peer:m.Registry.m_peer
+              (C.kind_of_name m.Registry.m_kind)
+              ~n:(T.Topology.num_gpus topo) ~size:m.Registry.m_size
+          in
+          ( topo,
+            { Synth.schedules; time; busbw = C.busbw coll ~time;
+              synth_time = 0.0; breakdown = Synth.zero_breakdown;
+              num_sketches = 0; num_combos = 0; chosen = m.Registry.m_chosen;
+              degraded = Synth.Full; degrade_reason = None },
+            provenance ))
 
 let explain_cmd =
-  let run tname cname size fast entry rdir =
-    match entry with
-    | Some key ->
-        (* Explain a stored registry entry instead of synthesizing. *)
-        let reg = require_registry rdir in
-        let topo = topo_of_name tname in
-        (match Registry.load reg key with
-        | Error e -> failwith (Printf.sprintf "entry %s: %s" key e)
-        | Ok (m, schedules) ->
-            if m.Registry.m_fingerprint <> T.Topology.fingerprint topo then
-              failwith
-                (Printf.sprintf
-                   "entry %s was stored for topology fingerprint %s, but %s \
-                    fingerprints as %s — pass the matching -t"
-                   key m.Registry.m_fingerprint tname
-                   (T.Topology.fingerprint topo));
-            let provenance =
-              Printf.sprintf
-                "registry entry %s in %s (%s, %.0f bytes data, stored cost \
-                 %.1f us at blocks=%d, schema v%d)"
-                key (Registry.dir reg) m.Registry.m_kind m.Registry.m_size
-                (m.Registry.m_cost *. 1e6)
-                m.Registry.m_blocks m.Registry.m_schema
-            in
-            print_string
-              (Syccl.Explain.outcome ~provenance topo
-                 (entry_outcome topo m schedules)))
-    | None ->
-        let topo = topo_of_name tname in
-        let coll = coll_of_name cname ~n:(T.Topology.num_gpus topo) ~size in
-        let config = { Syccl.Synthesizer.default_config with fast_only = fast } in
-        let o = Syccl.Synthesizer.synthesize ~config topo coll in
-        print_string
-          (Syccl.Explain.outcome ~provenance:"fresh synthesis" topo o);
-        (* Re-derive the winner's first sketch for the readable report. *)
-        let kind =
-          match coll.C.kind with
-          | C.AllToAll | C.Scatter | C.Gather -> `Scatter
-          | _ -> `Broadcast
-        in
-        (match Syccl.Search.run topo ~kind ~root:0 with
-        | s :: _ ->
-            print_newline ();
-            print_string (Syccl.Explain.sketch topo s)
-        | [] -> ())
+  let run (s, (req : Request.t), _) entry timeline =
+    let topo, o, provenance =
+      match entry with
+      | Some key -> explain_entry (existing_registry s.registry) req key
+      | None ->
+          let so = List.hd (serve s [ req ]) in
+          (req.Request.topo, so.Serve.synth, served_from so)
+    in
+    print_string (Syccl.Explain.outcome ~provenance topo o);
+    if timeline then
+      List.iteri
+        (fun i sched ->
+          Printf.printf "\n--- phase %d timeline ---\n%s" i
+            (S.Analysis.timeline topo sched))
+        o.Synth.schedules
   in
   let entry =
     Arg.(
@@ -462,91 +506,29 @@ let explain_cmd =
       & info [ "entry" ] ~docv:"KEY"
           ~doc:
             "Explain the stored registry entry $(docv) (from $(b,syccl \
-             registry ls)) instead of synthesizing: requires a registry and \
-             a $(b,-t) whose fingerprint matches the entry.")
+             registry ls)) instead of serving the request: requires an \
+             existing registry and a $(b,-t) whose topology, punctured by \
+             the entry's recorded faults if it has any, matches the \
+             entry's fingerprint.")
+  in
+  let timeline =
+    Arg.(
+      value & flag
+      & info [ "timeline" ]
+          ~doc:"Also print a text Gantt chart of each phase's transfers.")
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Print a human-readable report — critical path, port bottleneck, \
-          alpha/beta shares — for a fresh synthesis or a stored registry \
-          entry ($(b,--entry)).")
-    Term.(
-      const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ entry
-      $ registry_arg)
-
-let save_cmd =
-  let run tname cname size fast path =
-    let topo = topo_of_name tname in
-    let coll = coll_of_name cname ~n:(T.Topology.num_gpus topo) ~size in
-    let config = { Syccl.Synthesizer.default_config with fast_only = fast } in
-    let o = Syccl.Synthesizer.synthesize ~config topo coll in
-    List.iteri
-      (fun i s ->
-        let path =
-          if List.length o.schedules = 1 then path
-          else Printf.sprintf "%s.phase%d" path i
-        in
-        let oc = open_out path in
-        output_string oc
-          (Syccl_util.Json.to_string ~pretty:true (S.Schedule.to_json s));
-        close_out oc;
-        Format.printf "wrote %s@." path)
-      o.schedules
-  in
-  let path =
-    Arg.(required & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Destination JSON path.")
-  in
-  Cmd.v
-    (Cmd.info "save" ~doc:"Synthesize and persist the schedule as JSON.")
-    Term.(const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ path)
-
-let replay_cmd =
-  let run tname path =
-    let topo = topo_of_name tname in
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    let s = S.Schedule.of_json (Syccl_util.Json.of_string text) in
-    let report = S.Sim.run topo s in
-    Format.printf "replayed %s: %d transfers, completion %.1f us@." path
-      (S.Schedule.num_xfers s)
-      (report.S.Sim.time *. 1e6);
-    Format.printf "%a@." S.Analysis.pp (S.Analysis.analyze topo s)
-  in
-  let path =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
-  in
-  Cmd.v
-    (Cmd.info "replay" ~doc:"Simulate a previously saved JSON schedule.")
-    Term.(const run $ topo_arg $ path)
-
-let analyze_cmd =
-  let run tname cname size fast timeline =
-    let topo = topo_of_name tname in
-    let coll = coll_of_name cname ~n:(T.Topology.num_gpus topo) ~size in
-    let config = { Syccl.Synthesizer.default_config with fast_only = fast } in
-    let o = Syccl.Synthesizer.synthesize ~config topo coll in
-    List.iteri
-      (fun i s ->
-        Format.printf "--- phase %d ---@.%a@." i S.Analysis.pp
-          (S.Analysis.analyze topo s);
-        if timeline then print_string (S.Analysis.timeline topo s))
-      o.schedules
-  in
-  let timeline =
-    Arg.(value & flag & info [ "timeline" ] ~doc:"Print a text Gantt chart.")
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:"Synthesize, then report traffic per dimension and port utilization.")
-    Term.(const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ timeline)
+          alpha/beta shares, provenance — for the schedule $(b,synth) would \
+          serve with the same flags (registry hit or fresh synthesis), or \
+          for a stored registry entry ($(b,--entry)).")
+    Term.(const run $ request $ entry $ timeline)
 
 let profile_cmd =
   let run tname noise =
-    let topo = topo_of_name tname in
+    let topo = Request.topo_of_name tname in
     let rng = Syccl_util.Xrand.create 7 in
     let probe =
       T.Profiler.simulator_probe
@@ -571,45 +553,21 @@ let profile_cmd =
     Term.(const run $ topo_arg $ noise)
 
 let lower_cmd =
-  let run tname cname size fast faults domains deadline rdir audit channels
-      proto check output =
-    let config =
-      { Syccl.Synthesizer.default_config with fast_only = fast; domains;
-        deadline }
-    in
-    let req =
-      Request.make ~config ~faults:(faults_of faults) ~topology:tname
-        ~collective:cname ~size ()
-    in
-    let registry = registry_of rdir in
+  let run (s, (req : Request.t), cname) channels proto check dest =
     (* The lowering check runs inside Serve on the schedules as served:
        registry hits (transported/rescaled included) and degraded rungs
        (Rerouted, fallback) are lowered exactly as Serve resolved them,
-       never re-synthesized. *)
-    let lower (r : Request.t) (o : Syccl.Synthesizer.outcome) =
-      if not check then Ok ()
-      else
-        match
-          S.Msccl_interp.check_lowering ~channels ~coll:r.Request.coll
-            o.Syccl.Synthesizer.schedules
-        with
-        | Error _ as e -> e
-        | Ok () ->
-            Result.map_error
-              (fun e -> "reference checker divergence: " ^ e)
-              (Syccl_check.Refcheck.covers r.Request.topo r.Request.coll
-                 o.Syccl.Synthesizer.schedules)
+       never re-synthesized.  The hook runs without --check too, so the
+       audit trail records every lowered request. *)
+    let lower r o =
+      if check then Syccl_check.Refcheck.lower_check ~channels r o else Ok ()
     in
-    let so = Serve.run ?registry ?audit:(audit_of registry audit) ~lower req in
+    let so = List.hd (serve ~lower s [ req ]) in
     let o = so.Serve.synth in
     (* Status goes to stderr: stdout carries the XML when no -o is given. *)
     Format.eprintf "lowering:   %s, rung %s, %d phase(s), channels %d@."
-      (match so.Serve.source with
-      | Serve.From_registry { hit_key; via; _ } ->
-          Printf.sprintf "registry hit %s (%s)" hit_key (Registry.via_name via)
-      | Serve.From_synthesis -> "fresh synthesis")
-      (Syccl.Synthesizer.level_name o.Syccl.Synthesizer.degraded)
-      (List.length o.Syccl.Synthesizer.schedules)
+      (served_from so) (Synth.level_name o.Synth.degraded)
+      (List.length o.Synth.schedules)
       channels;
     (match so.Serve.lower with
     | Some (Error e) -> failwith ("lower --check: " ^ e)
@@ -619,25 +577,23 @@ let lower_cmd =
     | _ -> ());
     let phases = C.phases req.Request.coll in
     List.iteri
-      (fun i (phase, s) ->
+      (fun i (phase, sched) ->
         let prog =
           S.Msccl.lower ~channels ~proto
             ~name:(Printf.sprintf "syccl-%s-%d" cname i)
-            ~coll:phase s
+            ~coll:phase sched
         in
-        let xml = S.Msccl.emit prog in
-        match output with
-        | None -> print_string xml
-        | Some path ->
-            let path =
-              if List.length phases = 1 then path
-              else Printf.sprintf "%s.phase%d" path i
-            in
-            let oc = open_out path in
-            output_string oc xml;
-            close_out oc;
-            Format.eprintf "wrote %s (%d steps)@." path (S.Msccl.num_steps prog))
-      (List.combine phases o.Syccl.Synthesizer.schedules)
+        let path =
+          match dest with
+          | None -> "-"
+          | Some path when List.length phases = 1 -> path
+          | Some path -> Printf.sprintf "%s.phase%d" path i
+        in
+        write_out
+          ~wrote:(fun p ->
+            Format.eprintf "wrote %s (%d steps)@." p (S.Msccl.num_steps prog))
+          path (S.Msccl.emit prog))
+      (List.combine phases o.Synth.schedules)
   in
   let channels =
     Arg.(
@@ -661,7 +617,7 @@ let lower_cmd =
              XML on any divergence.  The verdict is recorded in the audit \
              trail either way.")
   in
-  let output =
+  let dest =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write XML here instead of stdout.")
   in
@@ -671,38 +627,27 @@ let lower_cmd =
          "Serve a request (registry and degradation ladder included) and \
           lower the schedules actually served to MSCCL-executor XML (one \
           file per phase).")
-    Term.(
-      const run $ topo_arg $ coll_arg $ size_arg $ fast_arg $ faults_arg
-      $ domains_arg $ deadline_arg $ registry_arg $ audit_arg $ channels
-      $ proto $ check $ output)
+    Term.(const run $ request $ channels $ proto $ check $ dest)
 
 let sweep_sizes = [ 1e3; 65536.0; 1048576.0; 1.6777e7; 2.68435e8; 1.073741824e9 ]
 
 let sweep_cmd =
-  let run tname cname fast faults domains deadline stats trace metrics rdir
-      audit mout sjson =
-    if trace <> None then Syccl_util.Trace.enable ();
+  let run s tname cname faults out =
+    with_output out @@ fun () ->
     let faults = faults_of faults in
-    let config =
-      { Syccl.Synthesizer.default_config with fast_only = fast; domains;
-        deadline }
-    in
     (* One request per size, executed through the shared pipeline: batch
-       execution groups them into a single synthesize_all sweep, so
+       execution synthesizes them as one concurrent sweep, so
        sub-solve memoization makes later sizes mostly cache hits of
        earlier ones — and with a registry, later *runs* are full hits. *)
     let requests =
       List.map
         (fun size ->
-          Request.make ~config ~faults ~topology:tname ~collective:cname ~size
-            ())
+          Request.make ~config:s.config ~faults ~topology:tname
+            ~collective:cname ~size ())
         sweep_sizes
     in
-    let registry = registry_of rdir in
     let topo = (List.hd requests).Request.topo in
-    let outcomes =
-      Serve.run_batch ?registry ?audit:(audit_of registry audit) requests
-    in
+    let outcomes = serve s requests in
     Format.printf "%10s %12s %12s %12s %10s@." "size" "SyCCL" "NCCL" "TECCL"
       "ladder";
     List.iter2
@@ -719,92 +664,39 @@ let sweep_cmd =
           | None -> "timeout"
         in
         Format.printf "%10.0f %12.1f %12.1f %12s %10s@." coll.C.size
-          o.Syccl.Synthesizer.busbw nccl teccl
-          (Syccl.Synthesizer.level_name o.Syccl.Synthesizer.degraded))
+          o.Synth.busbw nccl teccl
+          (Synth.level_name o.Synth.degraded))
       requests outcomes;
-    (match trace with
-    | None -> ()
-    | Some path ->
-        Syccl_util.Trace.set_process_name ~pid:Syccl_util.Trace.synthesis_pid
-          "synthesis";
-        export_trace path);
-    if stats then print_stats ();
-    if metrics then print_metrics ();
-    write_metrics_out mout;
-    Option.iter
-      (fun p -> write_json_file ~what:"stats-json" p (run_stats_json ()))
-      sjson
-  in
-  let sjson =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~docv:"FILE"
-          ~doc:
-            "Write the sweep's counters and histogram percentiles as JSON \
-             to $(docv) ($(b,-) for stdout).")
+    outcomes
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Bus bandwidth vs data size, SyCCL vs baselines.")
-    Term.(
-      const run $ topo_arg $ coll_arg $ fast_arg $ faults_arg $ domains_arg
-      $ deadline_arg $ stats_arg $ trace_arg $ metrics_arg $ registry_arg
-      $ audit_arg $ metrics_out_arg $ sjson)
+    Term.(const run $ serving () $ topo_arg $ coll_arg $ faults_arg $ output)
 
 (* --- batch / warm: the JSONL front-ends over the same pipeline ---------- *)
 
-let read_lines path =
-  let ic = if path = "-" then stdin else open_in path in
-  Fun.protect
-    ~finally:(fun () -> if path <> "-" then close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
 let batch_cmd =
-  let run input output fast domains deadline rdir stats audit mout sjson =
-    let defaults =
-      { Syccl.Synthesizer.default_config with fast_only = fast; domains;
-        deadline }
-    in
+  let run s input dest out =
+    with_output out @@ fun () ->
     let requests =
-      read_lines input
+      (if input = "-" then In_channel.input_lines stdin
+       else In_channel.with_open_text input In_channel.input_lines)
       |> List.mapi (fun i line -> (i + 1, line))
       |> List.filter (fun (_, line) -> String.trim line <> "")
       |> List.map (fun (lineno, line) ->
-             try Request.of_json ~defaults (Syccl_util.Json.of_string line)
+             try Request.of_json ~defaults:s.config (Json.of_string line)
              with e ->
                failwith
                  (Printf.sprintf "request line %d: %s" lineno
                     (Printexc.to_string e)))
     in
-    let registry = registry_of rdir in
-    let outcomes =
-      Serve.run_batch ?registry ?audit:(audit_of registry audit) requests
-    in
-    let text =
-      String.concat ""
-        (List.map
-           (fun o -> Syccl_util.Json.to_string (Serve.outcome_to_json o) ^ "\n")
-           outcomes)
-    in
-    if output = "-" then print_string text
-    else begin
-      let oc = open_out output in
-      output_string oc text;
-      close_out oc
-    end;
+    let outcomes = serve s requests in
+    write_out dest
+      (String.concat ""
+         (List.map
+            (fun o -> Json.to_string (Serve.outcome_to_json o) ^ "\n")
+            outcomes));
     let hits =
-      List.length
-        (List.filter
-           (fun (o : Serve.outcome) ->
-             match o.Serve.source with
-             | Serve.From_registry _ -> true
-             | Serve.From_synthesis -> false)
-           outcomes)
+      List.fold_left (fun n o -> n + fst (Serve.registry_counts o)) 0 outcomes
     in
     Format.eprintf "batch: %d requests (%d unique), %d registry hits, %d synthesized@."
       (List.length requests)
@@ -812,20 +704,7 @@ let batch_cmd =
          (List.sort_uniq compare (List.map Request.key requests)))
       hits
       (List.length outcomes - hits);
-    if stats then print_stats ();
-    write_metrics_out mout;
-    Option.iter
-      (fun p -> write_json_file ~what:"stats-json" p (run_stats_json ()))
-      sjson
-  in
-  let sjson =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~docv:"FILE"
-          ~doc:
-            "Write the batch's counters and histogram percentiles as JSON \
-             to $(docv) ($(b,-) for stdout).")
+    outcomes
   in
   let input =
     Arg.(
@@ -838,7 +717,7 @@ let batch_cmd =
              ..., \"fast\"?, \"domains\"?, \"deadline\"?, \"root\"?, \
              \"peer\"?, \"faults\"?}.")
   in
-  let output =
+  let dest =
     Arg.(
       value
       & opt string "-"
@@ -852,18 +731,13 @@ let batch_cmd =
           pipeline: duplicates are deduped, registry hits are served after \
           re-validation, misses are synthesized concurrently on the \
           persistent pool and stored back.")
-    Term.(
-      const run $ input $ output $ fast_arg $ domains_arg $ deadline_arg
-      $ registry_arg $ stats_arg $ audit_arg $ metrics_out_arg $ sjson)
+    Term.(const run $ serving () $ input $ dest $ output)
 
 let warm_cmd =
-  let run tname cnames sizes domains deadline rdir audit faults_k fleet
-      families =
-    let registry = require_registry rdir in
-    let config =
-      { Syccl.Synthesizer.default_config with domains; deadline }
-    in
-    let audit = audit_of (Some registry) audit in
+  let run s tname cnames sizes faults_k fleet families =
+    let registry, audit = open_serving s in
+    let registry = match registry with Some r -> r | None -> no_registry () in
+    let config = s.config in
     if fleet then begin
       (* Fleet warming: anchor every family × collective × bucket at root
          0; production requests at other roots / adjacent buckets are
@@ -918,7 +792,7 @@ let warm_cmd =
           (fun (r : Request.t) (so : Serve.outcome) ->
             Format.printf "%12s %10.0f %12.1f %10s@."
               (String.lowercase_ascii (C.kind_name r.Request.coll.C.kind))
-              r.Request.coll.C.size so.Serve.synth.Syccl.Synthesizer.busbw
+              r.Request.coll.C.size so.Serve.synth.Synth.busbw
               (match so.Serve.source with
               | Serve.From_registry _ -> "hit"
               | Serve.From_synthesis when so.Serve.stored -> "stored"
@@ -1023,21 +897,18 @@ let warm_cmd =
           class of fault sets, transported to the rest (GPU fault classes \
           change the demand itself and are counted, then skipped).")
     Term.(
-      const run $ topo_arg $ colls $ sizes $ domains_arg $ deadline_arg
-      $ registry_arg $ audit_arg $ faults_k $ fleet $ families)
+      const run $ serving ~fast:false () $ topo_arg $ colls $ sizes $ faults_k
+      $ fleet $ families)
 
 (* --- observability: audit / metrics / registry ------------------------- *)
 
-let audit_path_of file rdir =
-  match (file, registry_of rdir) with
-  | Some p, _ -> p
-  | None, Some reg -> Filename.concat (Registry.dir reg) Audit.default_name
-  | None, None ->
-      failwith "audit: pass a FILE, --registry DIR, or set SYCCL_REGISTRY"
-
 let audit_cmd =
   let run file rdir tail fingerprint reason aggregate json =
-    let path = audit_path_of file rdir in
+    let path =
+      match file with
+      | Some p -> p
+      | None -> registry_audit (existing_registry rdir)
+    in
     let records, bad = Audit.read path in
     let records =
       List.filter
@@ -1095,8 +966,7 @@ let audit_cmd =
     else
       List.iter
         (fun (r : Audit.record) ->
-          if json then
-            print_endline (Syccl_util.Json.to_string (Audit.record_to_json r))
+          if json then print_endline (Json.to_string (Audit.record_to_json r))
           else
             Format.printf
               "%.3f %-10s %-8.2e %-20s probe=%-12s rung=%-8s %8.1fus \
@@ -1164,32 +1034,27 @@ let audit_cmd =
     (Cmd.info "audit"
        ~doc:
          "Tail, filter and aggregate the per-request audit trail written by \
-          synth/sweep/batch/warm next to the registry.")
+          the serving commands next to the registry.")
     Term.(
       const run $ file $ registry_arg $ tail $ fingerprint $ reason
       $ aggregate $ json)
 
 let metrics_cmd =
   let run from_audit rdir out =
-    (match from_audit with
-    | None -> ()
-    | Some file ->
+    Option.iter
+      (fun file ->
         let path =
-          if file = "registry" then audit_path_of None rdir else file
+          if file = "registry" then registry_audit (existing_registry rdir)
+          else file
         in
         let records, bad = Audit.read path in
         List.iter Audit.replay_counters records;
         if bad > 0 then
           Format.eprintf "metrics: skipped %d unparseable line%s in %s@." bad
             (if bad = 1 then "" else "s")
-            path);
-    let text = Syccl_util.Counters.to_prometheus () in
-    match out with
-    | None -> print_string text
-    | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc
+            path)
+      from_audit;
+    write_out out (Counters.to_prometheus ())
   in
   let from_audit =
     Arg.(
@@ -1204,7 +1069,7 @@ let metrics_cmd =
   let out =
     Arg.(
       value
-      & opt (some string) None
+      & opt string "-"
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write to $(docv) instead of stdout.")
   in
@@ -1216,10 +1081,33 @@ let metrics_cmd =
           histograms with cumulative buckets, _sum and _count.")
     Term.(const run $ from_audit $ registry_arg $ out)
 
+(* The registry's audit trail folded over hit_key ([None] without one): the
+   number of audited requests, and per entry the hits it served, its last
+   hit time and last hit record index.  Feeds registry stats' hit
+   provenance and compact's LRU recency. *)
+let hit_history reg =
+  let path = registry_audit reg in
+  if not (Sys.file_exists path) then None
+  else begin
+    let records, _bad = Audit.read path in
+    let hits = Hashtbl.create 64 in
+    List.iteri
+      (fun i (r : Audit.record) ->
+        Option.iter
+          (fun k ->
+            let n, ts, _ =
+              Option.value (Hashtbl.find_opt hits k) ~default:(0, r.Audit.ts, i)
+            in
+            Hashtbl.replace hits k (n + 1, Float.max ts r.Audit.ts, i))
+          r.Audit.hit_key)
+      records;
+    Some (List.length records, hits)
+  end
+
 let registry_cmd =
   let run action key rdir tname max_entries max_bytes =
-    let reg = require_registry rdir in
-    let topo = Option.map topo_of_name tname in
+    let reg = existing_registry rdir in
+    let topo = Option.map Request.topo_of_name tname in
     let keys = Registry.keys reg in
     match action with
     | "ls" ->
@@ -1277,27 +1165,16 @@ let registry_cmd =
           (List.sort compare !schemas);
         (* Hit provenance: which stored entries actually serve traffic,
            according to the registry-adjacent audit trail. *)
-        let audit = Filename.concat (Registry.dir reg) Audit.default_name in
-        if Sys.file_exists audit then begin
-          let records, _bad = Audit.read audit in
-          let hits = ref [] in
-          List.iter
-            (fun (r : Audit.record) ->
-              match r.Audit.hit_key with
-              | Some hk -> (
-                  match List.assoc_opt hk !hits with
-                  | Some n -> hits := (hk, n + 1) :: List.remove_assoc hk !hits
-                  | None -> hits := (hk, 1) :: !hits)
-              | None -> ())
-            records;
-          Format.printf "hit provenance (%d audited requests):@."
-            (List.length records);
-          List.iter
-            (fun (k, n) ->
-              Format.printf "  %-16s served %d hit%s@." k n
-                (if n = 1 then "" else "s"))
-            (List.sort (fun (_, a) (_, b) -> compare b a) !hits)
-        end
+        Option.iter
+          (fun (audited, hits) ->
+            Format.printf "hit provenance (%d audited requests):@." audited;
+            (* Most hits first; ties by the most recent hit. *)
+            Hashtbl.fold (fun k (n, _, last) acc -> (n, last, k) :: acc) hits []
+            |> List.sort (fun a b -> compare b a)
+            |> List.iter (fun (n, _, k) ->
+                   Format.printf "  %-16s served %d hit%s@." k n
+                     (if n = 1 then "" else "s")))
+          (hit_history reg)
     | "inspect" ->
         let key =
           match key with
@@ -1356,26 +1233,10 @@ let registry_cmd =
            LRU recency comes from the audit trail's hit provenance, so an
            entry that serves traffic (directly or as a transport source)
            outlives an idle one. *)
-        let last_used =
-          let audit = Filename.concat (Registry.dir reg) Audit.default_name in
-          if Sys.file_exists audit then begin
-            let records, _bad = Audit.read audit in
-            let seen = Hashtbl.create 64 in
-            List.iter
-              (fun (r : Audit.record) ->
-                match r.Audit.hit_key with
-                | Some hk ->
-                    let ts =
-                      match Hashtbl.find_opt seen hk with
-                      | Some t -> Float.max t r.Audit.ts
-                      | None -> r.Audit.ts
-                    in
-                    Hashtbl.replace seen hk ts
-                | None -> ())
-              records;
-            fun k -> Hashtbl.find_opt seen k
-          end
-          else fun _ -> None
+        let hits = Option.map snd (hit_history reg) in
+        let last_used k =
+          Option.bind hits (fun h ->
+              Option.map (fun (_, ts, _) -> ts) (Hashtbl.find_opt h k))
         in
         let s = Registry.compact reg ?max_entries ?max_bytes ~last_used () in
         Format.printf
@@ -1413,8 +1274,9 @@ let registry_cmd =
       & opt (some string) None
       & info [ "t"; "topology" ] ~docv:"TOPO"
           ~doc:
-            "Topology to verify entries against (entries whose fingerprint \
-             differs stay unverified).")
+            "Topology to verify entries against: entries stored for it, or \
+             for it punctured by their recorded fault set, are verified; \
+             the rest stay unverified.")
   in
   let max_entries =
     Arg.(
@@ -1518,8 +1380,8 @@ let () =
     Cmd.group (Cmd.info "syccl_cli" ~doc)
       [
         topo_cmd; synth_cmd; sweep_cmd; batch_cmd; warm_cmd; lower_cmd;
-        analyze_cmd; profile_cmd; save_cmd; replay_cmd; explain_cmd;
-        audit_cmd; metrics_cmd; registry_cmd; fuzz_cmd;
+        profile_cmd; explain_cmd; audit_cmd; metrics_cmd; registry_cmd;
+        fuzz_cmd;
       ]
   in
   (* Bad user input (unknown topology, malformed --faults spec, unknown

@@ -207,3 +207,14 @@ let covers topo coll schedules =
         let* () = acc in
         covers_phase phase s)
       (Ok ()) phases schedules
+
+let lower_check ?channels (r : Syccl_serve.Request.t)
+    (o : Syccl.Synthesizer.outcome) =
+  let coll = r.Syccl_serve.Request.coll in
+  let* () =
+    Syccl_sim.Msccl_interp.check_lowering ?channels ~coll
+      o.Syccl.Synthesizer.schedules
+  in
+  Result.map_error
+    (fun e -> "reference checker divergence: " ^ e)
+    (covers r.Syccl_serve.Request.topo coll o.Syccl.Synthesizer.schedules)

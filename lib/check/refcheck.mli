@@ -23,3 +23,12 @@ val covers :
   Syccl_topology.Topology.t -> Syccl_collective.Collective.t ->
   Syccl_sim.Schedule.t list -> (unit, string) result
 (** Whole-outcome check: one schedule per collective phase. *)
+
+val lower_check :
+  ?channels:int -> Syccl_serve.Request.t -> Syccl.Synthesizer.outcome ->
+  (unit, string) result
+(** The [syccl lower --check] hook for {!Syccl_serve.Serve.run}: lower,
+    parse back and replay each phase of the served schedules
+    ({!Syccl_sim.Msccl_interp.check_lowering}, [channels] default 1), then
+    cross-check them with {!covers}, whose divergence is prefixed
+    ["reference checker divergence: "]. *)

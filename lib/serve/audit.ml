@@ -116,10 +116,8 @@ type t = { path : string; mutex : Mutex.t }
 
 let open_file path = { path; mutex = Mutex.create () }
 
-let default_name = "audit.jsonl"
-
 let for_registry reg =
-  open_file (Filename.concat (Registry.dir reg) default_name)
+  open_file (Filename.concat (Registry.dir reg) "audit.jsonl")
 
 let path t = t.path
 

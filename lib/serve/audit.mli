@@ -75,9 +75,6 @@ val open_file : string -> t
 val for_registry : Registry.t -> t
 (** The conventional sink for a registry: [<registry dir>/audit.jsonl]. *)
 
-val default_name : string
-(** ["audit.jsonl"]. *)
-
 val path : t -> string
 
 val append : t -> record -> unit

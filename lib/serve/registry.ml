@@ -103,11 +103,6 @@ let open_dir root =
       atomic_write ~dir:root (manifest_path t) (manifest_body ()));
   t
 
-let from_env () =
-  match Sys.getenv_opt "SYCCL_REGISTRY" with
-  | None | Some "" -> None
-  | Some d -> Some (open_dir d)
-
 (* Same power-of-two bucketing as the synthesizer's cross-size sub-solve
    memo: schedule structure is size-independent within a bucket, and a
    stored schedule rescales exactly ({!Schedule.scale}) to any size whose
@@ -594,12 +589,29 @@ type verdict =
   | Entry_invalid of { meta : meta; error : string }
   | Entry_slower of { meta : meta; simulated : float }
 
+let entry_topology topo m =
+  if Topology.fingerprint topo = m.m_fingerprint then Ok (Some topo)
+  else if m.m_faults = "" then Ok None
+  else
+    match Syccl_topology.Fault.decode m.m_faults with
+    | exception Invalid_argument e ->
+        Error (Printf.sprintf "recorded fault set %S: %s" m.m_faults e)
+    | faults -> (
+        (* A set naming hardware [topo] lacks marks a different topology,
+           not a damaged entry. *)
+        match Topology.puncture topo faults with
+        | exception Invalid_argument _ -> Ok None
+        | punctured when Topology.fingerprint punctured = m.m_fingerprint ->
+            Ok (Some punctured)
+        | _ -> Ok None)
+
 let verify_entry t ?topo k =
   match load t k with
   | Error m -> Entry_corrupt m
   | Ok (meta, schedules) -> (
-      match topo with
-      | Some topo when Topology.fingerprint topo = meta.m_fingerprint -> (
+      match Option.map (fun topo -> entry_topology topo meta) topo with
+      | Some (Error e) -> Entry_corrupt e
+      | Some (Ok (Some topo)) -> (
           match
             let coll =
               Collective.make ~root:meta.m_root ~peer:meta.m_peer

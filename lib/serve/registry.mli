@@ -61,10 +61,6 @@ val open_dir : string -> t
 
 val dir : t -> string
 
-val from_env : unit -> t option
-(** The registry named by the [SYCCL_REGISTRY] environment variable, if
-    set and non-empty. *)
-
 (** {1 Layout} *)
 
 val layout_version : int
@@ -230,13 +226,22 @@ type verdict =
   | Entry_invalid of { meta : meta; error : string }
   | Entry_slower of { meta : meta; simulated : float }
 
+val entry_topology :
+  Syccl_topology.Topology.t -> meta ->
+  (Syccl_topology.Topology.t option, string) result
+(** The topology an entry's schedules run on, given the topology it was
+    requested for: [topo] itself when the fingerprints match, else [topo]
+    punctured by the entry's recorded fault set ([m_faults]) when that
+    reproduces the stored fingerprint, else [None].  [Error] when the
+    recorded fault set does not decode: the entry is corrupt. *)
+
 val verify_entry :
   t -> ?topo:Syccl_topology.Topology.t -> string -> verdict
 (** Re-verify one entry by key: parse (corruption and schema drift are
-    detectable standalone), and — when [topo]'s fingerprint matches the
-    entry's — re-validate with {!Syccl_sim.Validate.validate} and
-    re-simulate at the stored fidelity.  Never mutates the store and
-    never touches the serving counters. *)
+    detectable standalone), and — when [topo] reaches the entry's
+    fingerprint ({!entry_topology}) — re-validate with
+    {!Syccl_sim.Validate.validate} and re-simulate at the stored fidelity.
+    Never mutates the store and never touches the serving counters. *)
 
 (** {1 Maintenance}
 

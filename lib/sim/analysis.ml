@@ -79,27 +79,6 @@ let alpha_share t d =
   let a = t.dim_alpha_s.(d) and b = t.dim_beta_s.(d) in
   if a +. b <= 0.0 then 0.0 else a /. (a +. b)
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>makespan: %.1f us, %.1f MB moved, %.2f hops/delivery@,"
-    (t.makespan *. 1e6) (t.total_bytes /. 1e6) t.avg_hops;
-  Array.iteri
-    (fun d b ->
-      Format.fprintf fmt
-        "  dim %d traffic: %.1f MB (alpha %.0f%% / beta %.0f%% of wire time)@,"
-        d (b /. 1e6)
-        (100.0 *. alpha_share t d)
-        (100.0 *. (1.0 -. alpha_share t d)))
-    t.dim_bytes;
-  List.iteri
-    (fun i p ->
-      if i < 6 then
-        Format.fprintf fmt "  port gpu%d/pg%d/%s: busy %.1f us (%.0f%%)@," p.gpu
-          p.port_group
-          (match p.dir with `Egress -> "out" | `Ingress -> "in")
-          (p.busy *. 1e6) (p.utilization *. 100.0))
-    t.ports;
-  Format.fprintf fmt "@]"
-
 let timeline ?(width = 60) ?(limit = 40) topo (s : Schedule.t) =
   let report = Sim.run topo s in
   let makespan = Float.max report.Sim.time 1e-12 in

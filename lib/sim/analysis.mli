@@ -1,8 +1,9 @@
 (** Schedule analysis: where the bytes go and which port is the bottleneck.
 
-    Used by the CLI's [analyze] command and by tests asserting structural
-    properties of synthesized schedules (e.g. "NVLink:NIC traffic matches
-    the capacity ratio", the §2.1 diagnosis). *)
+    Rendered for readers by {!Syccl.Explain.outcome} (the CLI's [explain],
+    with [--timeline] adding {!timeline}), and used by tests asserting
+    structural properties of synthesized schedules (e.g. "NVLink:NIC
+    traffic matches the capacity ratio", the §2.1 diagnosis). *)
 
 type port_stats = {
   gpu : int;
@@ -35,9 +36,6 @@ val analyze : ?blocks:int -> Syccl_topology.Topology.t -> Schedule.t -> t
 val alpha_share : t -> int -> float
 (** [alpha_share t d]: fraction of dimension [d]'s total wire time that is
     α (latency); 0 when the dimension carried no transfer. *)
-
-val pp : Format.formatter -> t -> unit
-(** Summary: makespan, per-dimension traffic, top ports. *)
 
 val timeline :
   ?width:int -> ?limit:int -> Syccl_topology.Topology.t -> Schedule.t -> string

@@ -63,19 +63,8 @@ let near_misses =
 
 let no_registry = [ List.hd anchors; List.nth anchors 3 ]
 
-(* The CLI's lower --check hook: lower, parse back and replay each phase,
-   then cross-check the served schedules with the reference interpreter. *)
-let lower (r : Request.t) (o : Synth.outcome) =
-  match
-    Syccl_sim.Msccl_interp.check_lowering ~coll:r.Request.coll
-      o.Synth.schedules
-  with
-  | Error _ as e -> e
-  | Ok () ->
-      Result.map_error
-        (fun e -> "reference checker divergence: " ^ e)
-        (Syccl_check.Refcheck.covers r.Request.topo r.Request.coll
-           o.Synth.schedules)
+(* The CLI's lower --check hook. *)
+let lower r o = Syccl_check.Refcheck.lower_check r o
 
 (* Canonical rendering with the given fields zeroed. *)
 let render ~zero = function

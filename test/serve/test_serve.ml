@@ -535,6 +535,43 @@ let test_verify_entry_nonmutating () =
   check Alcotest.string "evidence left in place" "deliberately corrupt" left;
   check Alcotest.int "entry not deleted" 1 (Registry.length reg)
 
+(* --- fault-class entries verify against the healthy topology ------------ *)
+
+let test_verify_faulted_entry () =
+  let reg = fresh_registry () in
+  let req =
+    Request.make
+      ~faults:(Syccl_topology.Fault.decode "link:0:0-1")
+      ~topology:"multirail:2x2" ~collective:"allgather" ~size:65536.0 ()
+  in
+  checkb "faulted outcome stored" true
+    (Serve.run ~registry:reg req).Serve.stored;
+  let key = Registry.key req.Request.topo req.Request.coll in
+  (* The entry's recorded fault set punctures the healthy topology back to
+     the stored fingerprint. *)
+  (match Registry.verify_entry reg ~topo key with
+  | Registry.Entry_ok _ -> ()
+  | _ -> Alcotest.fail "fault-class entry must verify against healthy -t");
+  (match Registry.verify_entry reg ~topo:(Builders.a100 ~servers:2) key with
+  | Registry.Entry_unverified _ -> ()
+  | _ -> Alcotest.fail "an unrelated topology must leave the entry unverified");
+  (* A recorded fault set that does not decode makes the entry corrupt. *)
+  let path = entry_path reg key in
+  let body =
+    match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Json.Obj kvs ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "faults" then (k, Json.Str "link:0:1-0") else (k, v))
+             kvs)
+    | _ -> Alcotest.fail "entry is not a JSON object"
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string body));
+  match Registry.verify_entry reg ~topo key with
+  | Registry.Entry_corrupt _ -> ()
+  | _ -> Alcotest.fail "an undecodable fault set must make the entry corrupt"
+
 (* --- sharded layout ------------------------------------------------------ *)
 
 let test_shard_layout_manifest () =
@@ -863,6 +900,8 @@ let suite =
     Alcotest.test_case "audit trail round-trips" `Quick test_audit_roundtrip;
     Alcotest.test_case "registry verify is read-only" `Quick
       test_verify_entry_nonmutating;
+    Alcotest.test_case "fault-class entries verify against healthy topology"
+      `Quick test_verify_faulted_entry;
     Alcotest.test_case "sharded layout and manifest" `Quick
       test_shard_layout_manifest;
     Alcotest.test_case "racing writers across shards stay consistent" `Quick
