@@ -499,6 +499,14 @@ let micro () =
         (Test.elements test))
     tests
 
+(* A BENCH_*.json file, pretty-printed, for `report --check`. *)
+let write_bench_json path json =
+  let oc = open_out path in
+  output_string oc (Syccl_util.Json.to_string ~pretty:true json);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "   wrote %s\n%!" path
+
 (* --- `milp` target: dense-tableau vs revised-sparse solver A/B ---------- *)
 
 (* A/B the two LP engines behind branch-and-bound on the models SyCCL
@@ -691,11 +699,7 @@ let bench_milp () =
         ("rows", Json.List rows);
       ]
   in
-  let oc = open_out "BENCH_milp.json" in
-  output_string oc (Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   wrote BENCH_milp.json\n%!"
+  write_bench_json "BENCH_milp.json" json
 
 (* --- Fleet warming gate: registry hit rate on a cold production grid ---- *)
 
@@ -797,10 +801,41 @@ let bench_fleet () =
         ("rows", Json.List rows);
       ]
   in
-  let oc = open_out "BENCH_fleet.json" in
-  output_string oc (Json.to_string ~pretty:true json);
-  close_out oc;
-  Printf.printf "   wrote BENCH_fleet.json\n%!"
+  write_bench_json "BENCH_fleet.json" json
+
+(* --- A/B measurement helpers (`sim` and `hits` targets) ------------------ *)
+
+(* Seconds per pass of [f] and of [g]: each the fastest of five alternating
+   trials of at least 10 ms, so a slow spell of a shared host hits both
+   sides and drops out. *)
+let per_pass f =
+  let t0 = Unix.gettimeofday () in
+  let rec go k =
+    f ();
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < 0.01 then go (k + 1) else dt /. float_of_int k
+  in
+  go 1
+
+let fastest f g =
+  let rec go trials (bf, bg) =
+    if trials = 0 then (bf, bg)
+    else go (trials - 1) (Float.min bf (per_pass f), Float.min bg (per_pass g))
+  in
+  go 5 (infinity, infinity)
+
+(* Words allocated, minor heap plus direct major-heap allocations (large
+   arrays).  Gc.minor_words is exact at any time; Gc.counters' major and
+   promoted words move together at minor collections, so their difference
+   counts only the direct major allocations. *)
+let words f =
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let minor0 = Gc.minor_words () and major0 = direct_major () in
+  f ();
+  Gc.minor_words () -. minor0 +. (direct_major () -. major0)
 
 (* --- `sim` target: reference event loop vs the flat simulator kernel ----- *)
 
@@ -826,38 +861,6 @@ let bench_sim () =
   let kinds = [ C.AllGather; C.ReduceScatter; C.AllToAll; C.AllReduce; C.Broadcast ] in
   let config = { Synth.default_config with Synth.domains = 1 } in
   let blocks = 8 in
-  (* Seconds per pass of [f] and of [g]: each the fastest of five
-     alternating trials of at least 10 ms, so a slow spell of a shared host
-     hits both kernels and drops out. *)
-  let per_pass f =
-    let t0 = Unix.gettimeofday () in
-    let rec go k =
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < 0.01 then go (k + 1) else dt /. float_of_int k
-    in
-    go 1
-  in
-  let fastest f g =
-    let rec go trials (bf, bg) =
-      if trials = 0 then (bf, bg)
-      else go (trials - 1) (Float.min bf (per_pass f), Float.min bg (per_pass g))
-    in
-    go 5 (infinity, infinity)
-  in
-  (* Words allocated, minor heap plus direct major-heap allocations (large
-     arrays).  Gc.minor_words is exact at any time; Gc.counters' major and
-     promoted words move together at minor collections, so their
-     difference counts only the direct major allocations. *)
-  let words f =
-    let direct_major () =
-      let _, promoted, major = Gc.counters () in
-      major -. promoted
-    in
-    let minor0 = Gc.minor_words () and major0 = direct_major () in
-    f ();
-    Gc.minor_words () -. minor0 +. (direct_major () -. major0)
-  in
   Printf.printf "%-13s %5s %-8s | %7s | %9s %9s %8s | %9s %9s\n" "kind" "size"
     "source" "events" "ref_s" "sim_s" "speedup" "ref_words" "sim_words";
   let rows =
@@ -921,18 +924,146 @@ let bench_sim () =
         ("rows", Json.List rows);
       ]
   in
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc (Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   wrote BENCH_sim.json\n%!"
+  write_bench_json "BENCH_sim.json" json
+
+(* --- `hits` target: cold registry probe vs memoized probe ---------------- *)
+
+(* A/B of a cold registry probe (read, parse, validate, simulate, and the
+   fallback guard on a near-miss) against the same probe replayed from the
+   in-process probe memo.  The a100-16 anchors' fallback schedules are
+   stored as root-0 entries at 8 blocks — cheap, no synthesis — and for
+   every (kind, anchor size) the bench probes an exact, an in-bucket
+   rescaled (x1.5), a cross-bucket (x2) and, for Broadcast, a transported
+   request (root 3: the fallback ladder beats a transported root-0
+   fallback at roots 1 and 2, so those would be misses): cold first (the
+   memo reset before every cold probe),
+   then memoized.  --smoke keeps the 1 MiB anchor only.  Each row records
+   the verdict, whether the cold and memoized verdicts agree bit for bit
+   (the process fails if not), both probes' seconds and allocated words,
+   and the speedup.  Writes BENCH_hits.json for
+   `report --check --current=...`. *)
+let bench_hits () =
+  let module Json = Syccl_util.Json in
+  let module Registry = Syccl_serve.Registry in
+  let module Fallback = Syccl_baselines.Fallback in
+  Printf.printf "\n== bench hits: cold probe vs memoized probe ==\n";
+  let topo = Syccl_serve.Request.topo_of_name "a100-16" in
+  let n = T.num_gpus topo in
+  let sizes =
+    if !smoke then [ 1.048576e6 ] else Syccl_serve.Fleet.default_anchors
+  in
+  let kinds = [ C.AllGather; C.ReduceScatter; C.AllToAll; C.AllReduce; C.Broadcast ] in
+  let blocks = 8 in
+  let reg =
+    Registry.open_dir
+      (Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "syccl-bench-hits-%d" (Unix.getpid ())))
+  in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun kind ->
+          let coll = C.make ~root:0 kind ~n ~size in
+          let schedules = Fallback.schedule topo coll in
+          Registry.store reg topo coll ~blocks
+            ~cost:(Sim.phases_time ~blocks topo schedules)
+            ~chosen:"fallback" schedules)
+        kinds)
+    sizes;
+  (* Everything a probe result says, times as hex floats: equal strings
+     plus equal schedules is bit-identity. *)
+  let verdict = function
+    | Registry.Miss r -> "miss." ^ Registry.miss_reason_name r
+    | Registry.Hit h ->
+        Printf.sprintf "hit.%s %s time=%h stored=%h/%d %s"
+          (Registry.via_name h.Registry.via) h.Registry.hit_key h.Registry.time
+          h.Registry.stored_cost h.Registry.stored_blocks h.Registry.chosen
+  in
+  let schedules = function
+    | Registry.Hit h -> h.Registry.schedules
+    | Registry.Miss _ -> []
+  in
+  Printf.printf "%-13s %5s %-11s | %-18s | %9s %9s %8s | %9s %9s\n" "kind"
+    "size" "request" "verdict" "cold_s" "memo_s" "speedup" "cold_words"
+    "memo_words";
+  let rows =
+    List.concat_map
+      (fun size ->
+        List.concat_map
+          (fun kind ->
+            let at ?(root = 0) f = C.make ~root kind ~n ~size:(size *. f) in
+            let requests =
+              [ ("exact", at 1.0); ("rescaled", at 1.5); ("cross", at 2.0) ]
+              @ if kind = C.Broadcast then [ ("transported", at ~root:3 1.0) ]
+                else []
+            in
+            List.map
+              (fun (request, c) ->
+                let cold () =
+                  Registry.reset_memo ();
+                  Registry.probe reg ~blocks topo c
+                and memo () = Registry.probe reg ~blocks topo c in
+                let v_cold = cold () in
+                let v_memo = memo () in
+                let verdicts_match =
+                  verdict v_cold = verdict v_memo
+                  && schedules v_cold = schedules v_memo
+                in
+                if not verdicts_match then begin
+                  Printf.printf
+                    "bench hits: memoized verdict differs on %s %s %s: %s vs %s\n"
+                    (C.kind_name kind) (pp_size size) request (verdict v_cold)
+                    (verdict v_memo);
+                  exit 1
+                end;
+                let cold_s, memo_s =
+                  fastest (fun () -> ignore (cold ())) (fun () -> ignore (memo ()))
+                in
+                let cold_words = words (fun () -> ignore (cold ())) in
+                ignore (memo ());
+                let memo_words = words (fun () -> ignore (memo ())) in
+                let speedup = if memo_s > 0.0 then cold_s /. memo_s else 0.0 in
+                let short = List.hd (String.split_on_char ' ' (verdict v_cold)) in
+                Printf.printf
+                  "%-13s %5s %-11s | %-18s | %9.2e %9.2e %7.1fx | %9.0f %9.0f\n%!"
+                  (C.kind_name kind) (pp_size size) request short cold_s memo_s
+                  speedup cold_words memo_words;
+                Json.Obj
+                  [
+                    ("kind", Json.Str (C.kind_name kind));
+                    ("size", Json.Num size);
+                    ("request", Json.Str request);
+                    ("verdict", Json.Str (verdict v_cold));
+                    ("verdicts_match", Json.Bool verdicts_match);
+                    ("cold_s", Json.Num cold_s);
+                    ("memo_s", Json.Num memo_s);
+                    ("speedup", Json.Num speedup);
+                    ("cold_alloc_words", Json.Num cold_words);
+                    ("memo_alloc_words", Json.Num memo_words);
+                  ])
+              requests)
+          kinds)
+      sizes
+  in
+  Registry.destroy reg;
+  write_bench_json "BENCH_hits.json"
+    (Json.Obj
+       [
+         ("schema_version", Json.Num 1.0);
+         ("bench", Json.Str "hits");
+         ("mode", Json.Str (if !smoke then "smoke" else "full"));
+         ("topology", Json.Str "a100-16");
+         ("blocks", Json.Num (float_of_int blocks));
+         ("rows", Json.List rows);
+       ])
 
 (* --- Bench observatory: regression report over BENCH_*.json ------------- *)
 
 (* Regression gates over the BENCH_*.json files, exiting non-zero on a
    regression.  The gate is chosen by the "bench" field of --current
    (default BENCH_milp.json): the fleet hit rate ("fleet"), or the
-   simulator kernels ("sim") or MILP engines ("milp") against --baseline.
+   simulator kernels ("sim"), the probe memo ("hits") or MILP engines
+   ("milp") against --baseline.
    Absolute timings are machine-dependent, so the gates are ratio- and
    count-based.  --check makes an unusable comparison (missing file,
    missing or unknown "bench" field, zero matched rows) itself a failure,
@@ -1060,6 +1191,28 @@ let bench_report () =
                else [ "events-changed" ])
             @ if cs *. !report_threshold >= bs then []
               else [ "speedup-regression" ] ))
+  | Some (Json.Str "hits") ->
+      (* Probe memo gate: rows are matched on (kind, size, request).  A row
+         regresses when the memoized verdict stopped agreeing bit for bit
+         with the cold one, the verdict itself changed, a memoized probe
+         allocates more than twice the baseline's words, or the speedup
+         over a cold probe fell below baseline/threshold. *)
+      gate_rows cur
+        ~key:(fun row ->
+          Printf.sprintf "%s/%.0f/%s" (str row "kind") (num row "size")
+            (str row "request"))
+        ~judge:(fun brow crow ->
+          let bs = num brow "speedup" and cs = num crow "speedup" in
+          let bw = num brow "memo_alloc_words" and cw = num crow "memo_alloc_words" in
+          ( Printf.sprintf "%6.0f memo words (baseline %6.0f), speedup %6.1fx (baseline %6.1fx)"
+              cw bw cs bs,
+            (if field crow "verdicts_match" = Some (Json.Bool true) then []
+             else [ "verdicts-mismatch" ])
+            @ (if str crow "verdict" = str brow "verdict" then []
+               else [ "verdict-changed" ])
+            @ (if cw <= 2.0 *. bw then [] else [ "memo-words-regression" ])
+            @ if cs *. !report_threshold >= bs then []
+              else [ "speedup-regression" ] ))
   | Some (Json.Str "milp") ->
       (* Solver gate: rows are matched on GPU count.  A row regresses when
          its revised-vs-dense speedup falls below baseline/threshold, its
@@ -1078,7 +1231,9 @@ let bench_report () =
             @ if cs *. !report_threshold >= bs then []
               else [ "speedup-regression" ] ))
   | _ when cur = None -> unusable "missing %s" current
-  | _ -> unusable "%s has no known \"bench\" field (milp, sim or fleet)" current
+  | _ ->
+      unusable "%s has no known \"bench\" field (milp, sim, hits or fleet)"
+        current
 
 (* --- Trace emission (--trace=FILE) -------------------------------------- *)
 
@@ -1143,6 +1298,7 @@ let targets =
     ("milp", bench_milp);
     ("fleet", bench_fleet);
     ("sim", bench_sim);
+    ("hits", bench_hits);
     ("report", bench_report);
   ]
 

@@ -420,6 +420,170 @@ let prop_registry_transport ctx =
                 (Registry.miss_reason_name r)))
 
 (* ------------------------------------------------------------------ *)
+(* registry memo: interleave a random script of entry writes with probes,
+   and hold every probe — memoized or not — to a cold probe of the same
+   files copied under a fresh registry root, which shares no memo entry
+   with it.  The script covers what can change under a memoized verdict:
+   the exact entry, an adjacent-bucket entry and (rooted kinds) an entry
+   at a symmetric root, each stored at its true cost, stored with a cost
+   below its simulated time, truncated or deleted; and what a memo key
+   must tell apart: in-bucket sizes, the bucket above, and simulator
+   fidelities. *)
+
+let entry_file reg k =
+  Filename.concat (Registry.dir reg)
+    (Filename.concat (Registry.shard_of_key k) (k ^ ".json"))
+
+let read_bytes path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_bytes path body =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+      output_string oc body)
+
+(* The same entry files, byte for byte, under a fresh root. *)
+let cold_copy rng reg =
+  let fresh = Registry.open_dir (temp_registry_dir rng) in
+  List.iter
+    (fun k ->
+      let dst = entry_file fresh k in
+      (try Unix.mkdir (Filename.dirname dst) 0o755
+       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      write_bytes dst (read_bytes (entry_file reg k)))
+    (Registry.keys reg);
+  fresh
+
+(* The first field on which two probe results differ, if any. *)
+let probe_difference a b =
+  let bits = Int64.bits_of_float in
+  match (a, b) with
+  | Registry.Miss r, Registry.Miss r' ->
+      if r = r' then None
+      else
+        Some
+          (Printf.sprintf "miss %s, cold miss %s" (Registry.miss_reason_name r)
+             (Registry.miss_reason_name r'))
+  | Registry.Hit h, Registry.Hit h' ->
+      let fields =
+        [
+          ("via", h.Registry.via = h'.Registry.via);
+          ("hit_key", h.Registry.hit_key = h'.Registry.hit_key);
+          ("chosen", h.Registry.chosen = h'.Registry.chosen);
+          ( "stored_cost",
+            bits h.Registry.stored_cost = bits h'.Registry.stored_cost );
+          ( "stored_blocks",
+            h.Registry.stored_blocks = h'.Registry.stored_blocks );
+          ("time", bits h.Registry.time = bits h'.Registry.time);
+          ("schedules", h.Registry.schedules = h'.Registry.schedules);
+        ]
+      in
+      Option.map
+        (fun (f, _) -> "hits differ in " ^ f)
+        (List.find_opt (fun (_, same) -> not same) fields)
+  | Registry.Hit _, Registry.Miss r ->
+      Some ("hit, cold miss " ^ Registry.miss_reason_name r)
+  | Registry.Miss r, Registry.Hit _ ->
+      Some ("miss " ^ Registry.miss_reason_name r ^ ", cold hit")
+
+let prop_registry_memo ctx =
+  let rng = ctx.rng in
+  let topo = Gen.topology rng in
+  let n = Topology.num_gpus topo in
+  let base = Gen.collective rng ~n in
+  let kind = base.Collective.kind in
+  let at ?(root = base.Collective.root) ?(peer = base.Collective.peer) size =
+    Collective.make ~root ~peer kind ~n ~size
+  in
+  (* Base size s = 2^b·m, an in-bucket size 2^b·m' and the bucket above. *)
+  let b = 4 + X.int rng 17 in
+  let s = Float.ldexp (1.0 +. X.float rng 0.25) b in
+  let s_in = Float.ldexp (1.5 +. X.float rng 0.5) b in
+  let exact = at s and above = at (2.0 *. s) in
+  (* A symmetric source of [base] for rooted kinds: the pair some
+     stabilizer element maps onto the request. *)
+  let symmetric =
+    if not (Array.mem kind rooted_kinds || kind = Collective.SendRecv) then None
+    else
+      let p = X.pick rng (Array.of_list (Topology.stabilizer topo)) in
+      let q = Perm.invert p in
+      let root = Perm.apply q base.Collective.root in
+      let peer =
+        if kind = Collective.SendRecv then Perm.apply q base.Collective.peer
+        else base.Collective.peer
+      in
+      if root = base.Collective.root && peer = base.Collective.peer then None
+      else Some (at ~root ~peer s)
+  in
+  let slots = Array.of_list ([ exact; above ] @ Option.to_list symmetric) in
+  let targets =
+    Array.of_list ([ exact; at s_in; above ] @ Option.to_list symmetric)
+  in
+  let fidelities =
+    let b1 = X.pick rng [| 1; 2; 4; 8 |] and b2 = X.pick rng [| 1; 2; 4; 8 |] in
+    [| b1; b2 |]
+  in
+  let reg = Registry.open_dir (temp_registry_dir rng) in
+  let store ~slower c =
+    let schedules = Syccl_baselines.Fallback.schedule topo c in
+    let blocks = X.pick rng [| 1; 2; 4; 8 |] in
+    let cost = Sim.phases_time ~blocks topo schedules in
+    Registry.store reg topo c ~blocks
+      ~cost:(if slower then cost *. 0.5 else cost)
+      ~chosen:(if slower then "fuzz-slower" else "fuzz-fallback")
+      schedules
+  in
+  let write () =
+    let c = X.pick rng slots in
+    let path = entry_file reg (Registry.key topo c) in
+    match X.int rng 5 with
+    | 0 | 1 -> ("store", store ~slower:false c)
+    | 2 -> ("store-slower", store ~slower:true c)
+    | 3 ->
+        ( "truncate",
+          if Sys.file_exists path then
+            let body = read_bytes path in
+            if body <> "" then
+              write_bytes path
+                (String.sub body 0 (X.int rng (String.length body))) )
+    | _ -> ("delete", ignore (Registry.remove_entry reg (Registry.key topo c)))
+  in
+  let describe (c : Collective.t) blocks =
+    Printf.sprintf "%s root=%d peer=%d size=%.17g blocks=%d"
+      (Collective.kind_name kind) c.Collective.root c.Collective.peer
+      c.Collective.size blocks
+  in
+  let rec run step history =
+    if step = 24 then Pass
+    else if X.int rng 3 = 0 then
+      let what, () = write () in
+      run (step + 1) (what :: history)
+    else begin
+      let c = X.pick rng targets and blocks = X.pick rng fidelities in
+      let got = Registry.probe reg ~blocks topo c in
+      let cold = cold_copy rng reg in
+      let want =
+        Fun.protect
+          ~finally:(fun () -> Registry.destroy cold)
+          (fun () -> Registry.probe cold ~blocks topo c)
+      in
+      match probe_difference got want with
+      | None -> run (step + 1) (("probe " ^ describe c blocks) :: history)
+      | Some d ->
+          failf "%s: %s (after: %s)" (describe c blocks) d
+            (String.concat "; " (List.rev history))
+    end
+  in
+  Fun.protect
+    ~finally:(fun () -> Registry.destroy reg)
+    (fun () ->
+      store ~slower:false exact;
+      run 0 [ "store" ])
+
+(* ------------------------------------------------------------------ *)
 (* size_bucket is the exact power-of-two floor. *)
 
 let prop_size_bucket ctx =
@@ -898,6 +1062,7 @@ let all =
     { name = "registry-fidelity"; heavy = true; check = prop_registry_fidelity };
     { name = "registry-transport"; heavy = true;
       check = prop_registry_transport };
+    { name = "registry-memo"; heavy = true; check = prop_registry_memo };
     { name = "size-bucket"; heavy = false; check = prop_size_bucket };
     { name = "lp-differential"; heavy = false; check = prop_lp_differential };
     { name = "sim-differential"; heavy = false; check = prop_sim_differential };

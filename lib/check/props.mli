@@ -43,6 +43,12 @@ val all : prop list
     - [reorder-benign]: transfer-list order never affects validity;
     - [registry-fidelity]: entries stored at one simulator fidelity
       survive probes at another, and report store-time fidelity;
+    - [registry-memo]: under a random script of entry writes (stored at
+      true cost, stored below the simulated time, truncated, deleted;
+      the exact entry, the bucket above, a symmetric root), every probe —
+      memoized or not — returns what a cold probe of the same files under
+      a fresh registry root returns: same verdict, source key, stored
+      cost and fidelity, bit-equal time, structurally equal schedules;
     - [size-bucket]: {!Syccl_serve.Registry.size_bucket} is the exact
       power-of-two floor;
     - [sim-differential]: {!Syccl_sim.Sim.run} agrees bit for bit with

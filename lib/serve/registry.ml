@@ -9,6 +9,7 @@ module Json = Syccl_util.Json
 module Counters = Syccl_util.Counters
 module Faultpoint = Syccl_util.Faultpoint
 module Perm = Syccl_util.Perm
+module Cache = Syccl_util.Cache
 module Fault = Syccl_topology.Fault
 
 type t = { root : string }
@@ -35,7 +36,10 @@ let ticket = Atomic.make 0
 (* rename is atomic within a directory: a concurrent reader sees either the
    old complete file or the new complete file, never a torn one.  The temp
    file lives in the same directory as its target so the rename never
-   crosses a filesystem boundary. *)
+   crosses a filesystem boundary.  [close_out] is the final flush — for a
+   body under the channel buffer, the only write — so its error (ENOSPC,
+   EIO, EDQUOT) must fail the store before the rename can publish a short
+   file; on any failure the temp file is removed, never left behind. *)
 let atomic_write ~dir:d path body =
   let tmp =
     Filename.concat d
@@ -43,10 +47,17 @@ let atomic_write ~dir:d path body =
          (Atomic.fetch_and_add ticket 1))
   in
   let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc body);
-  Sys.rename tmp path
+  match
+    output_string oc body;
+    close_out oc;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 (* --- sharded layout ----------------------------------------------------- *)
 
@@ -127,12 +138,13 @@ let key_of ~fingerprint ~kind ~root ~peer ~bucket =
   in
   Digest.to_hex (Digest.string canon)
 
-let key topo (coll : Collective.t) =
-  key_of
-    ~fingerprint:(Topology.fingerprint topo)
+let key_with ~fingerprint (coll : Collective.t) =
+  key_of ~fingerprint
     ~kind:(Collective.kind_name coll.Collective.kind)
     ~root:coll.Collective.root ~peer:coll.Collective.peer
     ~bucket:(size_bucket coll.Collective.size)
+
+let key topo coll = key_with ~fingerprint:(Topology.fingerprint topo) coll
 
 type via = Exact | Rescaled | Transported | Scaled_cross
 
@@ -200,17 +212,16 @@ type probe_result = Hit of hit | Miss of miss_reason
 
 (* Per-reason "registry.miss.<reason>" counters distinguish cold misses from
    store corruption in scraped metrics; "registry.misses" is their sum. *)
-let miss reason =
-  Counters.bump ("registry.miss." ^ miss_reason_name reason);
-  Counters.bump "registry.misses";
-  Miss reason
-
-let hit_counters via =
-  Counters.bump "registry.hits";
-  match via with
-  | Exact | Rescaled -> ()
-  | Transported -> Counters.bump "registry.hit.transported"
-  | Scaled_cross -> Counters.bump "registry.hit.scaled_cross"
+let count = function
+  | Hit h -> (
+      Counters.bump "registry.hits";
+      match h.via with
+      | Exact | Rescaled -> ()
+      | Transported -> Counters.bump "registry.hit.transported"
+      | Scaled_cross -> Counters.bump "registry.hit.scaled_cross")
+  | Miss reason ->
+      Counters.bump ("registry.miss." ^ miss_reason_name reason);
+      Counters.bump "registry.misses"
 
 (* --- entry parsing (shared by probe and the introspection API) --------- *)
 
@@ -229,15 +240,11 @@ type meta = {
   m_bytes : int;
 }
 
-(* Parse an entry file without validating the schedules against any
-   topology.  Any failure — unreadable file, malformed JSON, missing
-   fields, wrong schema version — is the entry being corrupt. *)
-let parse_entry ~key:k path =
+(* Parse an entry's bytes without validating the schedules against any
+   topology.  Any failure — malformed JSON, missing fields, wrong schema
+   version — is the entry being corrupt. *)
+let parse_body ~key:k body =
   match
-    (* Crash probe for the read path: an entry that cannot be read is a
-       counted corrupt miss, never a serving error. *)
-    Faultpoint.inject "registry.crash";
-    let body = read_file path in
     let j = Json.of_string body in
     let version = Json.to_int (Json.member "schema_version" j) in
     if version <> Schedule.schema_version then
@@ -288,19 +295,83 @@ let parse_entry ~key:k path =
 
 let load t k =
   let path = shard_path t k in
-  if Sys.file_exists path then parse_entry ~key:k path
-  else Error "no such entry"
+  if not (Sys.file_exists path) then Error "no such entry"
+  else
+    match
+      (* Crash probe for the read path, after the existence check and
+         before the read: an entry that cannot be read is corrupt. *)
+      Faultpoint.inject "registry.crash";
+      read_file path
+    with
+    | exception e -> Error (Printexc.to_string e)
+    | body -> parse_body ~key:k body
 
-(* --- probe: exact key, then symmetry/size near-miss -------------------- *)
+(* --- probe, step 1: observe the entry files ------------------------------- *)
 
-(* Exact-key classification.  Pure with respect to the serving counters:
-   [probe] does the bumping, so the near-miss pass can reuse this without
-   double-counting. *)
-let probe_exact t ~blocks topo (coll : Collective.t) k =
-  match shard_path t k with
-  | path when not (Sys.file_exists path) -> Miss Absent
-  | path -> (
-      match parse_entry ~key:k path with
+(* What a probe found at one path. *)
+type observation = Missing | Unreadable | Read of string
+
+(* Entry files are read into one buffer per domain, reused by every probe:
+   an unchanged file is compared in place with the bytes its memoized
+   verdict was judged from, so a repeated probe allocates no string. *)
+let read_buffer = Domain.DLS.new_key (fun () -> ref (Bytes.create 65536))
+
+let read_into path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let len = in_channel_length ic in
+      let buf = Domain.DLS.get read_buffer in
+      if Bytes.length !buf < len then
+        buf := Bytes.create (max len (2 * Bytes.length !buf));
+      really_input ic !buf 0 len;
+      (!buf, len))
+
+(* The first [len] bytes of [b] equal [s], compared a word at a time. *)
+let same_bytes b len s =
+  len = String.length s
+  &&
+  let rec go i =
+    if i + 8 <= len then
+      Int64.equal (Bytes.get_int64_ne b i) (String.get_int64_ne s i)
+      && go (i + 8)
+    else i >= len || (Bytes.get b i = String.get s i && go (i + 1))
+  in
+  go 0
+
+(* Observe one path the way {!load} reads it — existence check, then the
+   registry.crash fault point, then the read — so a probe draws that point
+   as often and in the same order whether or not its verdict is memoized,
+   and an entry that cannot be read is a counted corrupt miss, never a
+   serving error.  When [prev] holds the same bytes it is returned as is. *)
+let observe ?prev path =
+  if not (Sys.file_exists path) then Missing
+  else
+    match
+      Faultpoint.inject "registry.crash";
+      read_into path
+    with
+    | exception _ -> Unreadable
+    | buf, len -> (
+        match prev with
+        | Some (Read s as o) when same_bytes buf len s -> o
+        | _ -> Read (Bytes.sub_string buf 0 len))
+
+let same_observation a b =
+  match (a, b) with
+  | Read x, Read y -> String.equal x y
+  | Missing, Missing | Unreadable, Unreadable -> true
+  | (Missing | Unreadable | Read _), _ -> false
+
+(* --- probe, step 2: judge what was observed ------------------------------ *)
+
+(* Exact-key classification of the request's own entry. *)
+let judge_exact ~blocks topo (coll : Collective.t) k = function
+  | Missing -> Miss Absent
+  | Unreadable -> Miss Corrupt
+  | Read body -> (
+      match parse_body ~key:k body with
       | Error _ -> Miss Corrupt
       | Ok (meta, schedules) ->
           if
@@ -321,7 +392,7 @@ let probe_exact t ~blocks topo (coll : Collective.t) k =
                 List.map (fun s -> Schedule.scale s f) schedules
               else schedules
             in
-            (* Every hit is re-verified against the live topology model: a
+            (* Every hit is verified against the live topology model: a
                stale or hand-planted entry must prove itself before it is
                allowed to replace a fresh solve. *)
             match Validate.validate topo coll schedules with
@@ -403,32 +474,67 @@ let transport_sources topo (coll : Collective.t) =
     List.rev_map (fun src -> (src, List.rev (Hashtbl.find tbl src))) !order
   end
 
-(* Near-miss pass, entered only on an exact-key [Absent] miss.  Two
+(* A near-miss source entry: the same demand at a symmetric (root, peer),
+   with every permutation mapping it onto the request, or the same demand
+   one size bucket away. *)
+type source =
+  | Symmetric of { key : string; root : int; peer : int; perms : Perm.t list }
+  | Adjacent of { key : string }
+
+let source_key = function Symmetric { key; _ } | Adjacent { key } -> key
+
+(* The near-miss pass's sources in the order it reads them: transport
+   sources, then the buckets below and above. *)
+let near_sources ~fingerprint topo (coll : Collective.t) =
+  let kind = Collective.kind_name coll.Collective.kind in
+  let bucket = size_bucket coll.Collective.size in
+  List.map
+    (fun ((root, peer), perms) ->
+      Symmetric
+        {
+          key = key_of ~fingerprint ~kind ~root ~peer ~bucket;
+          root;
+          peer;
+          perms;
+        })
+    (transport_sources topo coll)
+  @ List.map
+      (fun db ->
+        Adjacent
+          {
+            key =
+              key_of ~fingerprint ~kind ~root:coll.Collective.root
+                ~peer:coll.Collective.peer ~bucket:(bucket + db);
+          })
+      [ -1; 1 ]
+
+(* Near-miss pass, entered only when the exact entry is missing.  Two
    candidate families: entries at a symmetric (root, peer) transported
    through {!Transport.schedules} (validity and cost preserved — the
    automorphism-transport fuzz law), and same-demand entries one size
    bucket away rescaled with {!Schedule.scale}.  Every candidate is
    re-validated and α-β re-simulated, and must beat the fallback ladder
    before it may serve; the fastest survivor wins. *)
-let probe_near t ~blocks topo (coll : Collective.t) =
+let judge_near ~blocks topo (coll : Collective.t) observed =
   let fp = Topology.fingerprint topo in
   let kind_name = Collective.kind_name coll.Collective.kind in
   let n = Topology.num_gpus topo in
-  let bucket = size_bucket coll.Collective.size in
   let attempted = ref 0 in
   (* A source entry that exists and parses sane counts as attempted even if
      transport, validation or the fallback guard later rejects it: the
      distinction between miss.absent and miss.transport_rejected is "was
      there anything to transport". *)
-  let load_source k =
-    match load t k with
-    | Error _ -> None
-    | Ok (meta, ss) ->
-        if meta.m_fingerprint <> fp || meta.m_kind <> kind_name then None
-        else begin
-          incr attempted;
-          Some (meta, ss)
-        end
+  let parse_source k = function
+    | Missing | Unreadable -> None
+    | Read body -> (
+        match parse_body ~key:k body with
+        | Error _ -> None
+        | Ok (meta, ss) ->
+            if meta.m_fingerprint <> fp || meta.m_kind <> kind_name then None
+            else begin
+              incr attempted;
+              Some (meta, ss)
+            end)
   in
   let finish ~via ~hit_key (meta : meta) schedules =
     match Validate.validate topo coll schedules with
@@ -453,14 +559,10 @@ let probe_near t ~blocks topo (coll : Collective.t) =
       let f = coll.Collective.size /. meta.m_size in
       List.map (fun s -> Schedule.scale s f) ss
   in
-  let transported =
-    List.filter_map
-      (fun ((src_root, src_peer), ps) ->
-        let k =
-          key_of ~fingerprint:fp ~kind:kind_name ~root:src_root
-            ~peer:src_peer ~bucket
-        in
-        match load_source k with
+  let candidate (src, obs) =
+    match src with
+    | Symmetric { key = k; root = src_root; peer = src_peer; perms = ps } -> (
+        match parse_source k obs with
         | None -> None
         | Some (meta, ss) ->
             if meta.m_root <> src_root || meta.m_peer <> src_peer then None
@@ -483,16 +585,8 @@ let probe_near t ~blocks topo (coll : Collective.t) =
                   | Some ss' ->
                       finish ~via:Transported ~hit_key:k meta
                         (rescale meta ss'))))
-      (transport_sources topo coll)
-  in
-  let cross =
-    List.filter_map
-      (fun db ->
-        let k =
-          key_of ~fingerprint:fp ~kind:kind_name ~root:coll.Collective.root
-            ~peer:coll.Collective.peer ~bucket:(bucket + db)
-        in
-        match load_source k with
+    | Adjacent { key = k } -> (
+        match parse_source k obs with
         | None -> None
         | Some (meta, ss) ->
             if
@@ -501,10 +595,9 @@ let probe_near t ~blocks topo (coll : Collective.t) =
               || meta.m_size = coll.Collective.size
             then None
             else finish ~via:Scaled_cross ~hit_key:k meta (rescale meta ss))
-      [ -1; 1 ]
   in
-  match transported @ cross with
-  | [] -> miss (if !attempted > 0 then Transport_rejected else Absent)
+  match List.filter_map candidate observed with
+  | [] -> Miss (if !attempted > 0 then Transport_rejected else Absent)
   | candidates -> (
       (* The fallback ladder is the floor any served schedule must beat: a
          transported entry slower than the always-available baseline is
@@ -535,24 +628,104 @@ let probe_near t ~blocks topo (coll : Collective.t) =
         | Some fb -> List.filter (fun h -> admits fb h.time) candidates
       in
       match accepted with
-      | [] -> miss Transport_rejected
+      | [] -> Miss Transport_rejected
       | first :: rest ->
-          let best =
-            List.fold_left
-              (fun a h -> if h.time < a.time then h else a)
-              first rest
-          in
-          hit_counters best.via;
-          Hit best)
+          Hit
+            (List.fold_left
+               (fun a h -> if h.time < a.time then h else a)
+               first rest))
 
-let probe t ?(blocks = 8) topo (coll : Collective.t) =
-  let k = key topo coll in
-  match probe_exact t ~blocks topo coll k with
+(* --- the probe memo ------------------------------------------------------- *)
+
+(* A verdict and everything it was judged from.  The near-miss sources are
+   observed only when the exact entry is missing; otherwise [near] is
+   empty. *)
+type memo = {
+  exact : observation;
+  near : (source * observation) list;
+  verdict : probe_result;
+}
+
+(* Retained bytes, bounded as a constant: each file read is counted twice,
+   once for its bytes and once for what the verdict decoded from it, plus a
+   fixed overhead per observed path — an estimate that tracked the heap
+   reachable from the memo within 3% on the perfbench serve workloads. *)
+let memo_capacity = 32 * 1024 * 1024
+
+let memo_weight m =
+  let cost = function Read s -> 64 + (2 * String.length s) | _ -> 64 in
+  List.fold_left (fun a (_, o) -> a + cost o) (cost m.exact) m.near
+
+let memo : (string * string * Collective.t * int, memo) Cache.t =
+  Cache.create ~capacity:memo_capacity ~weight:memo_weight ~name:"cache.probe"
+    ()
+
+let reset_memo () = Cache.clear memo
+
+(* Every served hit gets its own chunk arrays, the one mutable part of a
+   schedule, so no caller can alter a memoized verdict. *)
+let served = function
   | Hit h ->
-      hit_counters h.via;
-      Hit h
-  | Miss Absent -> probe_near t ~blocks topo coll
-  | Miss r -> miss r
+      Hit
+        {
+          h with
+          schedules =
+            List.map
+              (fun (s : Schedule.t) ->
+                { s with Schedule.chunks = Array.copy s.Schedule.chunks })
+              h.schedules;
+        }
+  | Miss _ as m -> m
+
+(* Observe, then judge — or replay.  The verdict is a deterministic
+   function of the bytes observed (or each file's absence), the topology
+   through its fingerprint, the collective and [blocks]: all four are
+   either the memo key or compared byte for byte, so a replayed verdict is
+   the one judging would return.  On a replay the stored source list is
+   re-observed instead of recomputed: it is a function of the topology and
+   the collective, given that the exact entry is missing, and that
+   absence is the first observation. *)
+let probe t ?(blocks = 8) topo (coll : Collective.t) =
+  let fingerprint = Topology.fingerprint topo in
+  let k = key_with ~fingerprint coll in
+  let mkey = (t.root, fingerprint, coll, blocks) in
+  let prev = Cache.find_opt memo mkey in
+  let exact =
+    observe ?prev:(Option.map (fun m -> m.exact) prev) (shard_path t k)
+  in
+  let near =
+    match (exact, prev) with
+    | (Unreadable | Read _), _ -> []
+    | Missing, Some { exact = Missing; near; _ } ->
+        List.map
+          (fun (src, o) ->
+            (src, observe ~prev:o (shard_path t (source_key src))))
+          near
+    | Missing, _ ->
+        List.map
+          (fun src -> (src, observe (shard_path t (source_key src))))
+          (near_sources ~fingerprint topo coll)
+  in
+  let verdict =
+    match prev with
+    | Some m
+      when same_observation m.exact exact
+           && List.for_all2
+                (fun (_, a) (_, b) -> same_observation a b)
+                m.near near ->
+        m.verdict
+    | _ ->
+        if Option.is_some prev then Counters.bump "cache.probe.stale";
+        let verdict =
+          match exact with
+          | Missing -> judge_near ~blocks topo coll near
+          | Unreadable | Read _ -> judge_exact ~blocks topo coll k exact
+        in
+        Cache.put memo mkey { exact; near; verdict };
+        verdict
+  in
+  count verdict;
+  served verdict
 
 let lookup t ?blocks topo coll =
   match probe t ?blocks topo coll with Hit h -> Some h | Miss _ -> None

@@ -87,21 +87,21 @@ let store_result registry (request : Request.t) (o : Synthesizer.outcome) =
    through [synthesize_all] — one pipeline invocation with snapshot
    isolation and per-element fault containment.  Groups preserve request
    order; grouping keys on the fingerprint, so two requests that built the
-   same cluster under different names still share a sweep. *)
-let group_requests requests =
-  let groups = ref [] in
+   same cluster under different names still share a sweep.  Members are
+   (request key, request) pairs. *)
+let group_requests keyed =
+  let groups = Hashtbl.create 8 and order = ref [] in
   List.iter
-    (fun (r : Request.t) ->
-      let fp = Topology.fingerprint r.Request.topo in
-      match
-        List.find_opt
-          (fun (fp', cfg, _) -> fp' = fp && cfg = r.Request.config)
-          !groups
-      with
-      | Some (_, _, members) -> members := r :: !members
-      | None -> groups := !groups @ [ (fp, r.Request.config, ref [ r ]) ])
-    requests;
-  List.map (fun (_, cfg, members) -> (cfg, List.rev !members)) !groups
+    (fun ((_, (r : Request.t)) as member) ->
+      let g = (Topology.fingerprint r.Request.topo, r.Request.config) in
+      match Hashtbl.find_opt groups g with
+      | Some members -> members := member :: !members
+      | None ->
+          let members = ref [ member ] in
+          Hashtbl.add groups g members;
+          order := (r.Request.config, members) :: !order)
+    keyed;
+  List.rev_map (fun (cfg, members) -> (cfg, List.rev !members)) !order
 
 (* The audit trail's "probe" field: every value an operator can aggregate
    misses by.  Rescaled, transported and cross-bucket hits are each
@@ -121,13 +121,15 @@ let registry_counts (o : outcome) =
   | Some (Registry.Miss _) -> (0, 1)
 
 (* One audit record per request element: duplicates share one execution but
-   each leaves its own line, so the trail counts traffic, not work. *)
-let audit_record (o : outcome) =
+   each leaves its own line, so the trail counts traffic, not work.  [key]
+   is the request's {!Request.key}, computed once per element by the
+   batch. *)
+let audit_record ~key (o : outcome) =
   let r = o.request and s = o.synth in
   let b = s.Synthesizer.breakdown in
   {
     Audit.ts = Syccl_util.Clock.now ();
-    key = Request.key r;
+    key;
     fingerprint = Topology.fingerprint r.Request.topo;
     faults = Syccl_topology.Fault.encode (Request.faults r);
     topology = r.Request.topo_name;
@@ -171,13 +173,17 @@ let run_batch ?registry ?audit ?lower requests =
      outcomes (synthesis is deterministic in everything the key covers),
      so each unique request is probed and executed once.  The probe runs
      before any solver: a verified hit is served as is, anything else
-     (no registry, or a miss of any reason) is synthesized. *)
+     (no registry, or a miss of any reason) is synthesized.  Each key is
+     computed once, and every lookup below is a hash-table lookup, so the
+     bookkeeping stays linear in the batch. *)
+  let keyed = List.map (fun r -> (Request.key r, r)) requests in
+  let seen = Hashtbl.create 64 in
   let uniques =
-    List.fold_left
-      (fun acc r ->
-        let k = Request.key r in
-        if List.mem_assoc k acc then acc
-        else
+    List.filter_map
+      (fun (k, (r : Request.t)) ->
+        if Hashtbl.mem seen k then None
+        else begin
+          Hashtbl.add seen k ();
           let probe =
             Option.map
               (fun reg ->
@@ -186,30 +192,32 @@ let run_batch ?registry ?audit ?lower requests =
                   r.Request.coll)
               registry
           in
-          acc @ [ (k, (r, probe)) ])
-      [] requests
+          Some (k, r, probe)
+        end)
+      keyed
   in
   let synth_work =
     List.filter_map
-      (fun (_, (r, probe)) ->
-        match probe with Some (Registry.Hit _) -> None | _ -> Some r)
+      (fun (k, r, probe) ->
+        match probe with Some (Registry.Hit _) -> None | _ -> Some (k, r))
       uniques
   in
-  let synthesized =
-    List.concat_map
-      (fun (config, members) ->
-        let topo = (List.hd members : Request.t).Request.topo in
-        let colls = List.map (fun (r : Request.t) -> r.Request.coll) members in
-        (* synthesize_all substitutes the validated fallback baseline for
-           any element whose task dies outside the degradation ladder, so
-           a batch element can fail without failing the batch. *)
-        let outs = Synthesizer.synthesize_all ~config topo colls in
-        List.map2
-          (fun (r : Request.t) o ->
-            (Request.key r, (o, store_result registry r o)))
-          members outs)
-      (group_requests synth_work)
-  in
+  let synthesized = Hashtbl.create 64 in
+  List.iter
+    (fun (config, members) ->
+      let topo = (snd (List.hd members) : Request.t).Request.topo in
+      let colls =
+        List.map (fun (_, (r : Request.t)) -> r.Request.coll) members
+      in
+      (* synthesize_all substitutes the validated fallback baseline for
+         any element whose task dies outside the degradation ladder, so
+         a batch element can fail without failing the batch. *)
+      let outs = Synthesizer.synthesize_all ~config topo colls in
+      List.iter2
+        (fun (k, r) o ->
+          Hashtbl.replace synthesized k (o, store_result registry r o))
+        members outs)
+    (group_requests synth_work);
   (* The lowering check runs over the outcome {e as served} — a registry
      hit or a degraded rung lowers exactly the schedules the caller gets,
      never a fresh synthesis.  One check per unique request; duplicate
@@ -230,26 +238,27 @@ let run_batch ?registry ?audit ?lower requests =
         | Error _ -> Counters.bump "serve.lower_failures");
         { o with lower = Some verdict }
   in
-  let by_key =
-    List.map
-      (fun (k, (request, probe)) ->
-        match probe with
-        | Some (Registry.Hit hit) -> (k, checked (hit_outcome request hit))
+  let by_key = Hashtbl.create 64 in
+  List.iter
+    (fun (k, request, probe) ->
+      Hashtbl.replace by_key k
+        (match probe with
+        | Some (Registry.Hit hit) -> checked (hit_outcome request hit)
         | None | Some (Registry.Miss _) ->
-            let synth, stored = List.assoc k synthesized in
-            ( k,
-              checked
-                { request; source = From_synthesis; probe; synth; stored;
-                  lower = None } ))
-      uniques
-  in
-  let outcomes = List.map (fun r -> List.assoc (Request.key r) by_key) requests in
+            let synth, stored = Hashtbl.find synthesized k in
+            checked
+              { request; source = From_synthesis; probe; synth; stored;
+                lower = None }))
+    uniques;
+  let outcomes = List.map (fun (k, _) -> (k, Hashtbl.find by_key k)) keyed in
   (match audit with
   | None -> ()
   | Some sink ->
       Counters.add "serve.requests" (List.length requests);
-      List.iter (fun o -> Audit.append sink (audit_record o)) outcomes);
-  outcomes
+      List.iter
+        (fun (key, o) -> Audit.append sink (audit_record ~key o))
+        outcomes);
+  List.map snd outcomes
 
 let run ?registry ?audit ?lower request =
   match run_batch ?registry ?audit ?lower [ request ] with

@@ -2,16 +2,20 @@
 
    Replaces the plain global Hashtbls that the synthesizer used to mutate
    with no synchronization (a latent race once synthesize calls run
-   concurrently).  Entries carry a last-use tick from a global counter;
-   when the table outgrows its capacity the least-recently-used half is
-   dropped in one batch, keeping eviction cost amortized O(1) per
+   concurrently).  Entries carry a last-use tick from a global counter and
+   a weight (1 unless the cache weighs its values, e.g. by retained
+   bytes); when the total weight outgrows the capacity the
+   least-recently-used entries are dropped in one batch until at most
+   half the capacity remains, keeping eviction cost amortized O(1) per
    insertion.  Hit/miss/eviction counts are recorded in {!Counters} under
    the cache's name. *)
 
 type ('k, 'v) t = {
   lock : Mutex.t;
-  tbl : ('k, 'v * int ref) Hashtbl.t;
+  tbl : ('k, 'v * int * int ref) Hashtbl.t;  (* value, weight, last use *)
   capacity : int;
+  weight : 'v -> int;
+  mutable total : int;  (* sum of the weights in [tbl], under [lock] *)
   tick : int Atomic.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -21,11 +25,13 @@ type ('k, 'v) t = {
   h_compute : Counters.hist;  (* find_or_compute miss-path compute time *)
 }
 
-let create ?(capacity = 1024) ~name () =
+let create ?(capacity = 1024) ?(weight = fun _ -> 1) ~name () =
   {
     lock = Mutex.create ();
     tbl = Hashtbl.create (min 64 capacity);
     capacity = max 8 capacity;
+    weight;
+    total = 0;
     tick = Atomic.make 0;
     hits = Counters.int_counter (name ^ ".hits");
     misses = Counters.int_counter (name ^ ".misses");
@@ -42,7 +48,7 @@ let find_opt c k =
   Mutex.lock c.lock;
   let r =
     match Hashtbl.find_opt c.tbl k with
-    | Some (v, slot) ->
+    | Some (v, _, slot) ->
         touch c slot;
         Atomic.incr c.hits;
         Some v
@@ -54,28 +60,39 @@ let find_opt c k =
   Counters.record (if Option.is_none r then c.h_miss else c.h_hit) (Clock.elapsed t0);
   r
 
-(* Caller holds [c.lock]. *)
-let evict_locked c =
-  let len = Hashtbl.length c.tbl in
-  if len > c.capacity then begin
-    let items = Hashtbl.fold (fun k (_, slot) acc -> (!slot, k) :: acc) c.tbl [] in
-    let sorted = List.sort compare items in
-    let drop = len - max 1 (c.capacity / 2) in
-    List.iteri
-      (fun i (_, k) ->
-        if i < drop then begin
+(* Caller holds [c.lock].  [newest] is the tick of the entry just put: it
+   survives, so a heavy value is never evicted by its own insertion. *)
+let evict_locked c ~newest =
+  if c.total > c.capacity then begin
+    let items =
+      Hashtbl.fold (fun k (_, w, slot) acc -> (!slot, k, w) :: acc) c.tbl []
+    in
+    let keep = max 1 (c.capacity / 2) in
+    List.iter
+      (fun (tick, k, w) ->
+        if c.total > keep && tick <> newest then begin
           Hashtbl.remove c.tbl k;
+          c.total <- c.total - w;
           Atomic.incr c.evictions
         end)
-      sorted
+      (List.sort compare items)
   end
 
 let put c k v =
+  let w = c.weight v in
   Mutex.lock c.lock;
-  let slot = ref 0 in
-  touch c slot;
-  Hashtbl.replace c.tbl k (v, slot);
-  evict_locked c;
+  (match Hashtbl.find_opt c.tbl k with
+  | Some (_, w_old, _) ->
+      Hashtbl.remove c.tbl k;
+      c.total <- c.total - w_old
+  | None -> ());
+  if w <= c.capacity then begin
+    let slot = ref 0 in
+    touch c slot;
+    Hashtbl.replace c.tbl k (v, w, slot);
+    c.total <- c.total + w;
+    evict_locked c ~newest:!slot
+  end;
   Mutex.unlock c.lock
 
 (* The computation runs outside the lock: concurrent callers may compute
@@ -93,7 +110,7 @@ let find_or_compute c k f =
 
 let bindings c =
   Mutex.lock c.lock;
-  let l = Hashtbl.fold (fun k (v, _) acc -> (k, v) :: acc) c.tbl [] in
+  let l = Hashtbl.fold (fun k (v, _, _) acc -> (k, v) :: acc) c.tbl [] in
   Mutex.unlock c.lock;
   l
 
@@ -106,4 +123,5 @@ let length c =
 let clear c =
   Mutex.lock c.lock;
   Hashtbl.reset c.tbl;
+  c.total <- 0;
   Mutex.unlock c.lock

@@ -434,7 +434,19 @@ let test_registry_crash_failopen () =
   Synth.reset_caches ();
   let o = Serve.run ~registry:reg r in
   checkb "entry survives the crashes and hits" true
-    (match o.Serve.source with Serve.From_registry _ -> true | _ -> false)
+    (match o.Serve.source with Serve.From_registry _ -> true | _ -> false);
+  (* That hit is memoized now, yet every probe still reads the entry: a
+     read that crashes turns the memoized hit into a counted corrupt miss
+     served by synthesis. *)
+  Synth.reset_caches ();
+  let o, corrupt =
+    delta "registry.miss.corrupt" (fun () ->
+        with_faults "registry.crash:1.0" (fun () -> Serve.run ~registry:reg r))
+  in
+  checkb "crashed read of a memoized hit falls back to synthesis" true
+    (o.Serve.source = Serve.From_synthesis);
+  check (Alcotest.float 0.0) "crashed read of a memoized hit counted corrupt"
+    1.0 corrupt
 
 let test_audit_crash_failopen () =
   let reg = fresh_registry () in
@@ -868,6 +880,174 @@ let test_audit_record_without_lowering () =
   check Alcotest.int "the complete record still reads" 1 (List.length records);
   check Alcotest.int "the record without lowering fields is bad" 1 bad
 
+(* --- probe memo: verdicts follow the bytes on disk ----------------------- *)
+
+let verdict_name = function
+  | Registry.Hit h -> "hit." ^ Registry.via_name h.Registry.via
+  | Registry.Miss r -> "miss." ^ Registry.miss_reason_name r
+
+let check_verdict msg expected result =
+  check Alcotest.string msg expected (verdict_name result)
+
+let write_file path body =
+  let oc = open_out_bin path in
+  output_string oc body;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_memo_follows_entry () =
+  let reg = fresh_registry () in
+  let schedules = Fallback.schedule topo coll in
+  let cost = simulate schedules in
+  Registry.store reg topo coll ~cost ~chosen:"fallback" schedules;
+  let probe () = Registry.probe reg topo coll in
+  check_verdict "stored entry hits" "hit.exact" (probe ());
+  let result, replays = delta "cache.probe.hits" probe in
+  check_verdict "repeated probe replays the hit" "hit.exact" result;
+  check (Alcotest.float 0.0) "the repeat is a memo hit" 1.0 replays;
+  (* Rewritten with a cost below its simulated time: slower than stored. *)
+  Registry.store reg topo coll ~cost:(cost *. 0.5) ~chosen:"fallback" schedules;
+  check_verdict "rewritten below its simulated time" "miss.slower" (probe ());
+  check_verdict "and memoized as such" "miss.slower" (probe ());
+  (* Truncated: corrupt. *)
+  Registry.store reg topo coll ~cost ~chosen:"fallback" schedules;
+  check_verdict "restored entry hits again" "hit.exact" (probe ());
+  let path = entry_path reg (Registry.key topo coll) in
+  let body = read_file path in
+  write_file path (String.sub body 0 (String.length body / 2));
+  check_verdict "truncated entry" "miss.corrupt" (probe ());
+  (* Removed, with an entry one bucket down: the near-miss pass serves it
+     rescaled from there. *)
+  let below = C.make C.AllGather ~n ~size:32768.0 in
+  let below_schedules = Fallback.schedule topo below in
+  Registry.store reg topo below ~cost:(simulate below_schedules)
+    ~chosen:"fallback" below_schedules;
+  checkb "entry removed" true
+    (Registry.remove_entry reg (Registry.key topo coll));
+  (match probe () with
+  | Registry.Hit h ->
+      checkb "removed entry goes to the near-miss pass" true
+        (h.Registry.via = Registry.Scaled_cross);
+      check Alcotest.string "served from the bucket below"
+        (Registry.key topo below) h.Registry.hit_key
+  | Registry.Miss r ->
+      Alcotest.fail ("removed entry missed: " ^ Registry.miss_reason_name r));
+  let result, replays = delta "cache.probe.hits" probe in
+  check_verdict "memoized cross-bucket hit" "hit.scaled_cross" result;
+  check (Alcotest.float 0.0) "replayed from the memo" 1.0 replays;
+  (* A store at the exact key appears between two probes: served exact. *)
+  Registry.store reg topo coll ~cost ~chosen:"fallback" schedules;
+  check_verdict "newly stored exact entry" "hit.exact" (probe ());
+  (* A served hit owns its chunk arrays: clobbering them leaves the
+     memoized verdict intact. *)
+  (match probe () with
+  | Registry.Hit h ->
+      List.iter
+        (fun (s : Schedule.t) -> Array.fill s.Schedule.chunks 0
+            (Array.length s.Schedule.chunks) s.Schedule.chunks.(0))
+        h.Registry.schedules
+  | Registry.Miss _ -> Alcotest.fail "exact entry must hit");
+  match probe () with
+  | Registry.Hit h ->
+      checkb "memoized schedules untouched by a caller" true
+        (h.Registry.schedules = schedules)
+  | Registry.Miss _ -> Alcotest.fail "exact entry must hit"
+
+(* Every registry counter a probe moved, as (name, delta) pairs. *)
+let registry_deltas f =
+  let registry_counters () =
+    List.filter
+      (fun (name, _) -> String.length name > 9 && String.sub name 0 9 = "registry.")
+      (Counters.snapshot ())
+  in
+  let before = registry_counters () in
+  let r = f () in
+  let moved =
+    List.filter_map
+      (fun (name, v) ->
+        let v0 = Option.value (List.assoc_opt name before) ~default:0.0 in
+        if v <> v0 then Some (name, v -. v0) else None)
+      (registry_counters ())
+  in
+  (r, moved)
+
+let test_memo_replays_counters () =
+  let reg = fresh_registry () in
+  let store c ~factor =
+    let schedules = Fallback.schedule topo c in
+    Registry.store reg topo c ~cost:(simulate schedules *. factor)
+      ~chosen:"fallback" schedules
+  in
+  let bcast root = C.make C.Broadcast ~root ~n ~size:65536.0 in
+  store coll ~factor:1.0;
+  store (bcast 0) ~factor:1.0;
+  store (C.make C.ReduceScatter ~n ~size:65536.0) ~factor:0.5;
+  let garbage = C.make C.AllToAll ~n ~size:65536.0 in
+  store garbage ~factor:1.0;
+  write_file (entry_path reg (Registry.key topo garbage)) "rotted";
+  List.iter
+    (fun (what, c, expected) ->
+      let first, first_moved =
+        registry_deltas (fun () -> Registry.probe reg topo c)
+      in
+      check_verdict (what ^ ": first verdict") expected first;
+      let (again, again_moved), memo_hits =
+        delta "cache.probe.hits" (fun () ->
+            registry_deltas (fun () -> Registry.probe reg topo c))
+      in
+      check Alcotest.string (what ^ ": same verdict") (verdict_name first)
+        (verdict_name again);
+      check
+        Alcotest.(list (pair string (float 0.0)))
+        (what ^ ": same registry counter deltas") first_moved again_moved;
+      checkb (what ^ ": counted at all") true (first_moved <> []);
+      check (Alcotest.float 0.0) (what ^ ": one memo hit") 1.0 memo_hits)
+    [
+      ("exact", coll, "hit.exact");
+      ("rescaled", C.make C.AllGather ~n ~size:100000.0, "hit.scaled");
+      ("cross-bucket", C.make C.AllGather ~n ~size:150000.0, "hit.scaled_cross");
+      ("transported", bcast 2, "hit.transported");
+      ("slower", C.make C.ReduceScatter ~n ~size:65536.0, "miss.slower");
+      ("corrupt", garbage, "miss.corrupt");
+      ("absent", C.make C.AllGather ~n ~size:1048576.0, "miss.absent");
+    ]
+
+(* --- store failures --------------------------------------------------------- *)
+
+let test_store_failure_leaves_no_temp () =
+  let reg = fresh_registry () in
+  let k = Registry.key topo coll in
+  (* The entry's path is a non-empty directory: the rename must fail, the
+     store must say so, and the shard must hold no temp file afterwards. *)
+  let path = entry_path reg k in
+  let rec mkdirs d =
+    if not (Sys.file_exists d) then begin
+      mkdirs (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  mkdirs path;
+  write_file (Filename.concat path "occupant") "x";
+  let schedules = Fallback.schedule topo coll in
+  checkb "store onto an occupied path raises" true
+    (match
+       Registry.store reg topo coll ~cost:(simulate schedules)
+         ~chosen:"fallback" schedules
+     with
+    | () -> false
+    | exception _ -> true);
+  let leftovers =
+    List.filter
+      (fun f -> String.length f >= 5 && String.sub f 0 5 = ".tmp.")
+      (Array.to_list (Sys.readdir (Filename.dirname path)))
+  in
+  check Alcotest.(list string) "no temp file left in the shard" [] leftovers
+
 let suite =
   [
     Alcotest.test_case "fingerprint stable and name-blind" `Quick
@@ -916,6 +1096,12 @@ let suite =
       test_lower_hook;
     Alcotest.test_case "audit records lacking lowering are rejected" `Quick
       test_audit_record_without_lowering;
+    Alcotest.test_case "memoized probe verdicts follow the entry file" `Quick
+      test_memo_follows_entry;
+    Alcotest.test_case "memoized probes bump the counters a fresh probe does"
+      `Quick test_memo_replays_counters;
+    Alcotest.test_case "failed store leaves no temp file" `Quick
+      test_store_failure_leaves_no_temp;
   ]
 
 let () = Alcotest.run "syccl-serve" [ ("serve", suite) ]

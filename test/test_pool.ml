@@ -156,6 +156,36 @@ let test_cache_eviction_keeps_recent () =
   Cache.clear cache;
   check Alcotest.int "cleared" 0 (Cache.length cache)
 
+let test_cache_weight_bound () =
+  (* Values weigh their length: the capacity bounds the total weight, not
+     the entry count — three 30-byte values fit in 100, a fourth does not,
+     and eviction keeps the newest down to half the capacity. *)
+  let cache : (int, string) Cache.t =
+    Cache.create ~capacity:100 ~weight:String.length ~name:"cache.test-weight" ()
+  in
+  let x = String.make 30 'x' in
+  for k = 0 to 2 do
+    Cache.put cache k x
+  done;
+  check Alcotest.int "three fit" 3 (Cache.length cache);
+  Cache.put cache 3 x;
+  check Alcotest.int "a fourth evicts down to half the capacity" 1
+    (Cache.length cache);
+  check Alcotest.(option string) "the newest survives" (Some x)
+    (Cache.find_opt cache 3);
+  (* Replacing a value re-weighs it: a 1-byte value frees room. *)
+  Cache.put cache 3 "y";
+  for k = 4 to 6 do
+    Cache.put cache k x
+  done;
+  check Alcotest.int "re-weighed replacement leaves room" 4 (Cache.length cache);
+  (* A value heavier than the whole capacity is not kept, takes its key's
+     old value with it, and evicts nothing else. *)
+  Cache.put cache 3 (String.make 101 'z');
+  check Alcotest.(option string) "oversized value dropped" None
+    (Cache.find_opt cache 3);
+  check Alcotest.int "others survive an oversized put" 3 (Cache.length cache)
+
 (* --- monotonic clock ---------------------------------------------------- *)
 
 let test_clock_monotonic () =
@@ -189,6 +219,7 @@ let suite =
     ("pool get persistent", `Quick, test_pool_get_persistent);
     ("cache concurrent bounded", `Quick, test_cache_concurrent_bounded);
     ("cache eviction keeps recent", `Quick, test_cache_eviction_keeps_recent);
+    ("cache weight bound", `Quick, test_cache_weight_bound);
     ("clock monotonic", `Quick, test_clock_monotonic);
     ("clock monotonic across domains", `Quick, test_clock_monotonic_across_domains);
   ]
