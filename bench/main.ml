@@ -247,8 +247,8 @@ let fig16c () =
       List.iter
         (fun d ->
           (* Every domain count must measure a cold solve: without this the
-             domains=1 run would populate the sub-solve cache and the later
-             columns would time cache transfers, not parallel solving. *)
+             domains=1 run would populate the search and combination caches
+             and the later columns would time only the sub-solves. *)
           Synth.reset_caches ();
           let cfg = { syccl_cfg with domains = d } in
           let o = syccl_outcome topo coll cfg in

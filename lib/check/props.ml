@@ -38,6 +38,9 @@ let rel_close ~tol a b =
   let denom = Float.max (Float.abs a) (Float.max (Float.abs b) 1e-30) in
   Float.abs (a -. b) <= tol *. denom
 
+let outcome f =
+  match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* reverse is an involution — structurally and in simulated cost — and
    stays one under colliding/negative priorities. *)
@@ -612,18 +615,17 @@ let teccl_tolerance = 2.0
    TECCL winning 3x would still mean the sketch space is missing
    something structural — that is the regression this bound catches. *)
 
-let prop_oracle ctx =
-  let rng = ctx.rng in
-  let topo =
-    (* Small instances only: the oracle solves four ways per case. *)
-    let rec small tries =
-      let t = Gen.topology rng in
-      if Topology.num_gpus t <= 8 || tries > 10 then t else small (tries + 1)
-    in
-    small 0
+(* A small synthesis request: a generator topology with at most 8 GPUs
+   (or [None]), any kind, any root, a distinct peer for SendRecv, and a
+   log-uniform size in [8 B, 80 KB). *)
+let small_request rng =
+  let rec small tries =
+    let t = Gen.topology rng in
+    if Topology.num_gpus t <= 8 || tries > 10 then t else small (tries + 1)
   in
+  let topo = small 0 in
   let n = Topology.num_gpus topo in
-  if n > 8 then Skip "no small topology drawn"
+  if n > 8 then None
   else
     let kind = X.pick rng Gen.all_kinds in
     let root = X.int rng n in
@@ -634,70 +636,175 @@ let prop_oracle ctx =
           if p >= root then p + 1 else p
       | _ -> 0
     in
-    let coll =
-      Collective.make ~root ~peer kind ~n
-        ~size:(8.0 *. Float.exp (X.float rng (Float.log 1e4)))
-    in
-    let config =
-      {
-        Synthesizer.default_config with
-        Synthesizer.domains = ctx.domains;
-        deadline = Some 30.0;
-      }
-    in
-    let candidate = Synthesizer.synthesize ~config topo coll in
-    match Validate.validate topo coll candidate.Synthesizer.schedules with
-    | Error e -> failf "oracle: candidate schedule invalid: %s" e
-    | Ok () ->
-        let fast =
-          Synthesizer.synthesize
-            ~config:{ config with Synthesizer.fast_only = true }
-            topo coll
+    Some
+      ( topo,
+        Collective.make ~root ~peer kind ~n
+          ~size:(8.0 *. Float.exp (X.float rng (Float.log 1e4))) )
+
+let prop_oracle ctx =
+  let rng = ctx.rng in
+  (* Small instances only: the oracle solves four ways per case. *)
+  match small_request rng with
+  | None -> Skip "no small topology drawn"
+  | Some (topo, coll) ->
+      let n = Topology.num_gpus topo in
+      let kind = coll.Collective.kind in
+      let config =
+        {
+          Synthesizer.default_config with
+          Synthesizer.domains = ctx.domains;
+          deadline = Some 30.0;
+        }
+      in
+      let candidate = Synthesizer.synthesize ~config topo coll in
+      match Validate.validate topo coll candidate.Synthesizer.schedules with
+      | Error e -> failf "oracle: candidate schedule invalid: %s" e
+      | Ok () ->
+          let fast =
+            Synthesizer.synthesize
+              ~config:{ config with Synthesizer.fast_only = true }
+              topo coll
+          in
+          let teccl =
+            Teccl.synthesize ~seed:(X.int rng 1_000_000) ~restarts:1
+              ~time_budget:10.0 topo coll
+          in
+          let comparators =
+            [ ("greedy", oracle_tolerance, Some fast.Synthesizer.schedules);
+              ("teccl", teccl_tolerance, teccl.Teccl.schedules);
+              ("nccl", oracle_tolerance,
+               Some (Syccl_baselines.Nccl.schedule topo coll));
+              ("fallback", oracle_tolerance,
+               Some (Syccl_baselines.Fallback.schedule topo coll));
+            ]
+          in
+          let rec check_all acc = function
+            | [] -> Ok acc
+            | (_, _, None) :: rest -> check_all acc rest
+            | (name, tol, Some schedules) :: rest -> (
+                match Validate.validate topo coll schedules with
+                | Error e -> Error (name, e)
+                | Ok () ->
+                    check_all
+                      ((name, tol, Sim.phases_time topo schedules) :: acc)
+                      rest)
+          in
+          (match check_all [] comparators with
+          | Error (name, e) -> failf "oracle: %s baseline invalid: %s" name e
+          | Ok timed ->
+              let beaten =
+                (* each comparator is held to its own screening tolerance *)
+                List.filter
+                  (fun (_, tol, t) ->
+                    candidate.Synthesizer.time > t *. (1.0 +. tol) +. 1e-12)
+                  timed
+              in
+              match
+                (candidate.Synthesizer.degraded = Synthesizer.Full, beaten)
+              with
+              | false, _ | true, [] -> Pass
+              | true, (best_name, _, best) :: _ ->
+                  failf
+                    "oracle: %s beats the synthesizer beyond tolerance: %g vs \
+                     %g (kind %s, n=%d, size %g)"
+                    best_name best candidate.Synthesizer.time
+                    (Collective.kind_name kind) n coll.Collective.size)
+
+(* ------------------------------------------------------------------ *)
+(* Synthesis is a function of the request.  A request synthesized again
+   after 1–3 others — its kind at another size in its power-of-two bucket,
+   another kind at its size, itself on a second generator topology of the
+   same family name and GPU count — gets the same outcome: bit-equal time,
+   the same winner and rung, structurally equal schedules.  Fast-only with
+   no deadline, so no wall clock can cut a solve.  The shared caches are
+   reset after the first run: solutions that outlived it would otherwise
+   let the second run replay the first and hide what the history left. *)
+
+let prop_synth_history ctx =
+  let rng = ctx.rng in
+  match small_request rng with
+  | None -> Skip "no small topology drawn"
+  | Some (topo, coll) ->
+      let config =
+        {
+          Synthesizer.default_config with
+          Synthesizer.fast_only = true;
+          domains = ctx.domains;
+        }
+      in
+      let n = Topology.num_gpus topo in
+      let { Collective.kind; root; peer; size; _ } = coll in
+      let in_bucket =
+        let lo = Float.ldexp 1.0 (snd (Float.frexp size) - 1) in
+        Collective.make ~root ~peer kind ~n ~size:(lo +. X.float rng lo)
+      in
+      let other_kind =
+        let k =
+          X.pick rng
+            (Array.of_list
+               (List.filter (( <> ) kind) (Array.to_list Gen.all_kinds)))
         in
-        let teccl =
-          Teccl.synthesize ~seed:(X.int rng 1_000_000) ~restarts:1
-            ~time_budget:10.0 topo coll
+        let peer = if k = Collective.SendRecv then (root + 1) mod n else 0 in
+        Collective.make ~root ~peer k ~n ~size
+      in
+      let twin =
+        let rec draw tries =
+          if tries = 0 then None
+          else
+            let t = Gen.topology rng in
+            if t.Topology.name = topo.Topology.name && Topology.num_gpus t = n
+            then Some t
+            else draw (tries - 1)
         in
-        let comparators =
-          [ ("greedy", oracle_tolerance, Some fast.Synthesizer.schedules);
-            ("teccl", teccl_tolerance, teccl.Teccl.schedules);
-            ("nccl", oracle_tolerance,
-             Some (Syccl_baselines.Nccl.schedule topo coll));
-            ("fallback", oracle_tolerance,
-             Some (Syccl_baselines.Fallback.schedule topo coll));
-          ]
-        in
-        let rec check_all acc = function
-          | [] -> Ok acc
-          | (_, _, None) :: rest -> check_all acc rest
-          | (name, tol, Some schedules) :: rest -> (
-              match Validate.validate topo coll schedules with
-              | Error e -> Error (name, e)
-              | Ok () ->
-                  check_all
-                    ((name, tol, Sim.phases_time topo schedules) :: acc)
-                    rest)
-        in
-        (match check_all [] comparators with
-        | Error (name, e) -> failf "oracle: %s baseline invalid: %s" name e
-        | Ok timed ->
-            let beaten =
-              (* each comparator is held to its own screening tolerance *)
-              List.filter
-                (fun (_, tol, t) ->
-                  candidate.Synthesizer.time > t *. (1.0 +. tol) +. 1e-12)
-                timed
-            in
-            match
-              (candidate.Synthesizer.degraded = Synthesizer.Full, beaten)
-            with
-            | false, _ | true, [] -> Pass
-            | true, (best_name, _, best) :: _ ->
-                failf
-                  "oracle: %s beats the synthesizer beyond tolerance: %g vs \
-                   %g (kind %s, n=%d, size %g)"
-                  best_name best candidate.Synthesizer.time
-                  (Collective.kind_name kind) n coll.Collective.size)
+        draw 40
+      in
+      let history =
+        Array.of_list
+          ([ (topo, in_bucket); (topo, other_kind) ]
+          @ Option.fold ~none:[] ~some:(fun t -> [ (t, coll) ]) twin)
+      in
+      X.shuffle rng history;
+      let history =
+        Array.sub history 0 (1 + X.int rng (Array.length history))
+      in
+      let run topo coll =
+        outcome (fun () -> Synthesizer.synthesize ~config topo coll)
+      in
+      let first = run topo coll in
+      Synthesizer.reset_caches ();
+      Array.iter (fun (t, c) -> ignore (run t c)) history;
+      let again = run topo coll in
+      let describe =
+        String.concat ", "
+          (Array.to_list
+             (Array.map
+                (fun (t, c) ->
+                  Format.asprintf "%a on %s" Collective.pp c
+                    (if t == topo then "the same topology" else "its twin"))
+                history))
+      in
+      let differs =
+        match (first, again) with
+        | Error e, Error e' -> if e = e' then None else Some "error text"
+        | Ok _, Error e | Error e, Ok _ -> Some ("one run raised " ^ e)
+        | Ok a, Ok b ->
+            List.find_map
+              (fun (field, same) -> if same then None else Some field)
+              [
+                ( "time",
+                  Int64.bits_of_float a.Synthesizer.time
+                  = Int64.bits_of_float b.Synthesizer.time );
+                ("chosen", a.Synthesizer.chosen = b.Synthesizer.chosen);
+                ("rung", a.Synthesizer.degraded = b.Synthesizer.degraded);
+                ( "schedules",
+                  a.Synthesizer.schedules = b.Synthesizer.schedules );
+              ]
+      in
+      match differs with
+      | None -> Pass
+      | Some field ->
+          failf "synth-history: %a on %s (n=%d) differs in %s after %s"
+            Collective.pp coll topo.Topology.name n field describe
 
 (* ------------------------------------------------------------------ *)
 (* The revised sparse simplex agrees with the retired dense tableau (kept
@@ -776,9 +883,6 @@ let prop_lp_differential ctx =
    exit of [Sim.phases_time]: an accepted bound never exceeds the full
    time, the full time satisfies the predicate that accepted it, and
    without an exit the result is the full time, bit for bit. *)
-
-let outcome f =
-  match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
 
 let sim_divergence ~blocks topo s =
   match
@@ -1072,6 +1176,7 @@ let all =
       check = prop_fault_orbit_transport };
     { name = "lower-replay"; heavy = false; check = prop_lower_replay };
     { name = "oracle"; heavy = true; check = prop_oracle };
+    { name = "synth-history"; heavy = true; check = prop_synth_history };
   ]
 
 let names = List.map (fun p -> p.name) all

@@ -68,7 +68,14 @@ val all : prop list
       beyond per-comparator screening tolerance by greedy-only synthesis,
       TECCL, NCCL or the fallback ladder on the same demand (TECCL's
       epoch MILP is near-exact at oracle scale, so it gets a looser
-      bound than the screened baselines). *)
+      bound than the screened baselines);
+    - [synth-history]: synthesis is a function of the request — the
+      oracle's request, synthesized fast-only without a deadline, gets a
+      bit-equal time, the same winner and rung and structurally equal
+      schedules again after {!Syccl.Synthesizer.reset_caches} and 1–3
+      other requests (its kind at another size in its power-of-two
+      bucket, another kind at its size, itself on a second generator
+      topology of the same family name and GPU count). *)
 
 val names : string list
 val find : string -> prop option

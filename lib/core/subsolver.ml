@@ -138,22 +138,11 @@ let plan topo coll (combo : Combine.combo) =
 
 let size_key s = Printf.sprintf "%.6e" s
 
-(* Size-independent key: entry sizes as ratios of the demand's largest
-   entry.  Ratios are invariant under uniform scaling, so two demands that
-   differ only by chunk size canonicalize identically — the basis of the
-   cross-size sub-solve memoization. *)
-let max_entry_size demand =
-  let m = List.fold_left (fun a e -> Float.max a e.e_size) 0.0 demand.entries in
-  if m > 0.0 then m else 1.0
-
-let rel_key base s = Printf.sprintf "%.5f" (s /. base)
-
 (* Canonical intra-group position order: positions sorted by their multiset
    of roles across entries (1 round of refinement), ties by raw position.
    Good enough to align symmetric demands; a failed alignment is caught by
-   verification and re-solved directly.  [sk] renders entry sizes into the
-   role keys: absolute by default, relative for cross-size matching. *)
-let canonical_positions ?(sk = size_key) topo demand =
+   verification and re-solved directly. *)
+let canonical_positions topo demand =
   let members = Topology.gpus_in_group topo ~dim:demand.d_dim ~group:demand.d_group in
   let np = Array.length members in
   let pos_of = Hashtbl.create np in
@@ -181,7 +170,8 @@ let canonical_positions ?(sk = size_key) topo demand =
         (List.filter_map
            (fun e ->
              let s = List.mem v e.e_srcs and d = List.mem v e.e_dsts in
-             if s || d then Some (sk e.e_size, s, d, List.length e.e_srcs, List.length e.e_dsts)
+             if s || d then
+               Some (size_key e.e_size, s, d, List.length e.e_srcs, List.length e.e_dsts)
              else None)
            demand.entries) )
   in
@@ -196,11 +186,11 @@ let canonical_positions ?(sk = size_key) topo demand =
   Array.iteri (fun i p -> rank.(p) <- i) order;
   (members, pos_of, rank, order)
 
-let class_key_with sk topo demand =
-  let members, pos_of, rank, _ = canonical_positions ~sk topo demand in
+let class_key topo demand =
+  let members, pos_of, rank, _ = canonical_positions topo demand in
   let canon_gpu v = rank.(Hashtbl.find pos_of v) in
   let entry_key e =
-    ( sk e.e_size,
+    ( size_key e.e_size,
       List.sort compare (List.map canon_gpu e.e_srcs),
       List.sort compare (List.map canon_gpu e.e_dsts) )
   in
@@ -228,11 +218,6 @@ let class_key_with sk topo demand =
     end
   in
   Marshal.to_string (demand.d_dim, Array.length members, keys, dead_edges) []
-
-let class_key topo demand = class_key_with size_key topo demand
-
-let norm_class_key topo demand =
-  class_key_with (rel_key (max_entry_size demand)) topo demand
 
 let strategy_signature = function
   | Fast_only -> "fast"
@@ -330,15 +315,6 @@ let direct_candidate demand metas =
          List.init nd (fun i -> d.((i + c) mod nd))))
     demand.entries;
   { Schedule.chunks = metas; xfers = List.rev !xfers }
-
-let no_worse_than_direct topo demand xfers =
-  let metas = metas_of_demand demand in
-  let cand = { Schedule.chunks = metas; xfers } in
-  let direct = direct_candidate demand metas in
-  (* A direct fabric that crosses dead links is no baseline at all (the
-     simulator rejects it): any valid solution beats it. *)
-  (not (xfers_alive topo direct.Schedule.xfers))
-  || Syccl_sim.Sim.time topo cand <= Syccl_sim.Sim.time topo direct +. 1e-15
 
 let h_solve_s = Syccl_util.Counters.histogram "subsolve.solve_s"
 let h_milp_s = Syccl_util.Counters.histogram "milp.solve_s"
@@ -538,7 +514,7 @@ let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool ?cache
 
 (* --- Mapping representatives onto isomorphic demands ------------------ *)
 
-let transfer ?(normalized = false) topo ~rep ~rep_xfers demand =
+let transfer topo ~rep ~rep_xfers demand =
   if
     rep.d_dim = demand.d_dim && rep.d_group = demand.d_group
     && rep.entries = demand.entries
@@ -552,31 +528,28 @@ let transfer ?(normalized = false) topo ~rep ~rep_xfers demand =
        rep's xfers carry its own dim. *)
     Some rep_xfers
   else
-  (* Cross-size hits use relative size keys (each demand normalized by its
-     own largest entry); same-size mapping keeps exact absolute keys. *)
-  let sk_rep = if normalized then rel_key (max_entry_size rep) else size_key in
-  let sk_dem = if normalized then rel_key (max_entry_size demand) else size_key in
-  let rep_members, rep_pos, rep_rank, _ = canonical_positions ~sk:sk_rep topo rep in
-  let dem_members, _, _, dem_order = canonical_positions ~sk:sk_dem topo demand in
+  let rep_members, rep_pos, rep_rank, _ = canonical_positions topo rep in
+  let dem_members, dem_pos, dem_rank, dem_order =
+    canonical_positions topo demand
+  in
   if Array.length rep_members <> Array.length dem_members then None
   else
   (* rep GPU -> canonical rank -> demand GPU. *)
   let gpu_map v = dem_members.(dem_order.(rep_rank.(Hashtbl.find rep_pos v))) in
   (* Entry correspondence: sort both entry lists by canonical key. *)
-  let entry_keyed sk d rank_of pos_of =
+  let entry_keyed d rank_of pos_of =
     List.mapi
       (fun i e ->
         let canon v = rank_of.(Hashtbl.find pos_of v) in
-        ( ( sk e.e_size,
+        ( ( size_key e.e_size,
             List.sort compare (List.map canon e.e_srcs),
             List.sort compare (List.map canon e.e_dsts) ),
           i ))
       d.entries
     |> List.sort compare
   in
-  let _, dem_pos, dem_rank, _ = canonical_positions ~sk:sk_dem topo demand in
-  let rep_entries = entry_keyed sk_rep rep rep_rank rep_pos in
-  let dem_entries = entry_keyed sk_dem demand dem_rank dem_pos in
+  let rep_entries = entry_keyed rep rep_rank rep_pos in
+  let dem_entries = entry_keyed demand dem_rank dem_pos in
   if List.map fst rep_entries <> List.map fst dem_entries then None
   else begin
     let chunk_map = Hashtbl.create 16 in

@@ -43,16 +43,8 @@ val plan :
 
 val class_key : Syccl_topology.Topology.t -> demand -> string
 (** Canonical isomorphism-class key: demands with equal keys are solved once
-    (§5.3). *)
-
-val norm_class_key : Syccl_topology.Topology.t -> demand -> string
-(** Size-normalized class key: entry sizes enter as ratios of the demand's
-    largest entry, so demands that differ only by a uniform chunk-size
-    scale share a key.  Used (together with a size bucket and strategy
-    signature) by the cross-size sub-solve memoization. *)
-
-val strategy_signature : strategy -> string
-(** Stable textual fingerprint of a strategy, for cache keys. *)
+    per synthesis call (§5.3).  Entry sizes are part of the key, so demands
+    that differ only in chunk size are different classes. *)
 
 val solve_demand :
   ?warm:Syccl_sim.Schedule.xfer list ->
@@ -80,21 +72,7 @@ val solve_demand :
     ({!Syccl_util.Budget.mark_degraded}).  The ["subsolver.crash"]
     {!Syccl_util.Faultpoint} probe fires at entry. *)
 
-val no_worse_than_direct :
-  Syccl_topology.Topology.t ->
-  demand ->
-  Syccl_sim.Schedule.xfer list ->
-  bool
-(** [true] iff [xfers] — a candidate solution for [demand], local chunk
-    ids — simulates no slower than the cheap direct candidate that
-    {!solve_demand} always constructs.  The synthesizer uses this to guard
-    memoized cross-size transfers: a cached solution refined for a
-    different chunk size is only reused when it at least matches the
-    direct baseline, so cache warmth can never regress schedule quality
-    below it. *)
-
 val transfer :
-  ?normalized:bool ->
   Syccl_topology.Topology.t ->
   rep:demand ->
   rep_xfers:Syccl_sim.Schedule.xfer list ->
@@ -105,9 +83,7 @@ val transfer :
     same group of the same dimension and have structurally equal entries
     the mapping is the identity and the (simulation-based) verification is
     skipped; equal entries under a different dim/group take the general,
-    verified path.  With [~normalized:true] entry sizes are matched as
-    ratios (each demand scaled by its own largest entry), enabling
-    cross-size mapping of memoized solutions. *)
+    verified path. *)
 
 val assemble :
   plan ->

@@ -109,50 +109,30 @@ let timed f =
   let r = f () in
   (r, Clock.now () -. t0)
 
-(* Cross-size sub-solve memoization (bounded, domain-safe): solved class
-   representatives keyed by size-normalized class key, strategy signature
-   and a power-of-two chunk-size bucket.  Hits skip Subsolver.solve_demand
-   entirely — across combos, across the coarse/fine steps and across sweep
-   sizes whose epoch structure is size-independent. *)
-let subsolve_cache : (string, Subsolver.demand * Schedule.xfer list) Cache.t =
-  Cache.create ~capacity:4096 ~name:"cache.subsolve" ()
-
-let size_bucket (d : Subsolver.demand) =
-  let m =
-    List.fold_left
-      (fun a (e : Subsolver.entry) -> Float.max a e.Subsolver.e_size)
-      0.0 d.Subsolver.entries
-  in
-  if m <= 0.0 then 0
-  else int_of_float (Float.floor ((Float.log m /. Float.log 2.0) +. 1e-9))
-
-let memo_key strategy topo d =
-  Printf.sprintf "%s/%d/%s/%d/%s" topo.Topology.name (Topology.num_gpus topo)
-    (Subsolver.strategy_signature strategy)
-    (size_bucket d)
-    (Subsolver.norm_class_key topo d)
-
-(* A view of the sub-solve memo.  [live_memo] reads and writes the shared
-   bounded cache directly; [synthesize_all] gives each sweep element a
-   snapshot-overlay view instead, so a sweep's results depend only on the
-   cache state at sweep start — never on sibling elements' mid-flight
-   insertions (see [synthesize_all]). *)
-type memo_view = {
-  memo_find : string -> (Subsolver.demand * Schedule.xfer list) option;
-  memo_put : string -> Subsolver.demand * Schedule.xfer list -> unit;
+(* The sub-solve memo of one pipeline attempt (§5.3): every isomorphism
+   class solved so far, keyed by strategy and exact class key.  It lives
+   as long as the attempt — across its combinations, steps and phases, so
+   AllReduce's AllGather phase reuses its ReduceScatter phase's classes —
+   and no longer, so an outcome never depends on what the process solved
+   before.  Only the attempt's own thread touches it: lookups run before
+   a pool dispatch and insertions after it. *)
+type memo = {
+  classes :
+    (Subsolver.strategy * string, Subsolver.demand * Schedule.xfer list)
+    Hashtbl.t;
+  mutable hits : int;
+  mutable misses : int;
 }
 
-let live_memo =
-  {
-    memo_find = (fun k -> Cache.find_opt subsolve_cache k);
-    memo_put = (fun k v -> Cache.put subsolve_cache k v);
-  }
+let c_memo_hits = Counters.int_counter "cache.subsolve.hits"
+let c_memo_misses = Counters.int_counter "cache.subsolve.misses"
 
-(* Solve representatives of every isomorphism class appearing in [plans],
-   in parallel on the pool, and return a per-demand solution function.
-   The memo probe runs sequentially before dispatch and insertions happen
-   after every solve returns, so which classes hit the cache — and hence
-   the produced schedules — cannot depend on pool size or scheduling. *)
+(* Solve representatives of every isomorphism class appearing in [plans]
+   that the memo does not hold yet, in parallel on the pool, and return a
+   per-demand solution function.  The memo is consulted sequentially before
+   dispatch and filled after every solve returns, so which classes hit —
+   and hence the produced schedules — cannot depend on pool size or
+   scheduling. *)
 let solve_plans ~pool ~memo ~budget ?warm strategy topo
     (plans : Subsolver.plan list) =
   (* Warm-basis handoff between same-class MILP solves within this call
@@ -173,38 +153,29 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo
     plans;
   let keys = Array.of_seq (Hashtbl.to_seq_keys classes) in
   let reps = Array.map (Hashtbl.find classes) keys in
-  let nclass = Array.length reps in
-  let mkeys = Array.map (memo_key strategy topo) reps in
-  let sols = Array.make nclass None in
-  Array.iteri
-    (fun i rep ->
-      match memo.memo_find mkeys.(i) with
-      | Some (crep, cxfers) -> (
-          match
-            Subsolver.transfer ~normalized:true topo ~rep:crep
-              ~rep_xfers:cxfers rep
-          with
-          | Some xfers ->
-              (* An identity hit returns the xfers solved for these exact
-                 entries; anything else is a cross-size/cross-group mapping
-                 whose quality is only bounded by the direct-baseline
-                 guard — a cached solution refined for a different chunk
-                 size may be valid yet slower than solving here, so reuse
-                 it only when it at least matches the direct candidate. *)
-              let identical =
-                crep.Subsolver.d_dim = rep.Subsolver.d_dim
-                && crep.Subsolver.d_group = rep.Subsolver.d_group
-                && crep.Subsolver.entries = rep.Subsolver.entries
-              in
-              if identical || Subsolver.no_worse_than_direct topo rep xfers
-              then sols.(i) <- Some xfers
-              else Counters.bump "cache.subsolve.quality_fail"
-          | None -> Counters.bump "cache.subsolve.transfer_fail")
-      | None -> ())
-    reps;
+  (* A hit carries the representative it was solved for, possibly in
+     another group: the solution function below maps it onto each demand
+     (identity, or verified mapping with a direct re-solve). *)
+  let sols =
+    Array.map
+      (fun k ->
+        let hit = Hashtbl.find_opt memo.classes (strategy, k) in
+        if Option.is_some hit then begin
+          memo.hits <- memo.hits + 1;
+          Atomic.incr c_memo_hits
+        end
+        else begin
+          memo.misses <- memo.misses + 1;
+          Atomic.incr c_memo_misses
+        end;
+        hit)
+      keys
+  in
   let todo =
     Array.of_list
-      (List.filter (fun i -> sols.(i) = None) (List.init nclass Fun.id))
+      (List.filter
+         (fun i -> sols.(i) = None)
+         (List.init (Array.length keys) Fun.id))
   in
   let solved =
     Pool.map pool
@@ -226,14 +197,15 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo
   Array.iteri
     (fun j i ->
       let xfers, was_degraded = solved.(j) in
-      sols.(i) <- Some xfers;
-      (* A deadline-degraded sub-solve (skipped MILP, greedy cut short)
-         must not be memoized: the memo outlives the deadline and would
-         replay the degraded solution into later unconstrained runs. *)
-      if not was_degraded then memo.memo_put mkeys.(i) (reps.(i), xfers))
+      sols.(i) <- Some (reps.(i), xfers);
+      (* A deadline-degraded sub-solve (skipped MILP, greedy cut short) is
+         never memoized: a later phase re-solves the class rather than
+         inherit a solution the deadline cut short. *)
+      if not was_degraded then
+        Hashtbl.replace memo.classes (strategy, keys.(i)) (reps.(i), xfers))
     todo;
-  let table = Hashtbl.create nclass in
-  Array.iteri (fun i k -> Hashtbl.replace table k (reps.(i), Option.get sols.(i))) keys;
+  let table = Hashtbl.create (Array.length keys) in
+  Array.iteri (fun i k -> Hashtbl.replace table k (Option.get sols.(i))) keys;
   fun (d : Subsolver.demand) ->
     let key = Subsolver.class_key topo d in
     match Hashtbl.find_opt table key with
@@ -257,8 +229,12 @@ let strategy_of cfg ~e =
         time_limit = cfg.milp_time_limit;
       }
 
-(* Sketch search depends only on (topology, kind, root, config) — not on the
-   data size — so sweeps over sizes reuse it.  Both caches are bounded and
+(* Sketch search depends only on (topology, kind, root, config) and
+   combination only on (topology, sketches, limits) — not on the data size —
+   so both are pure functions of their key and may be shared process-wide.
+   The topology enters through its fingerprint (shape, links, port groups,
+   faults): combination reads link bandwidths, and two topologies that share
+   a name may differ in all of these.  Both caches are bounded and
    mutex-protected: concurrent synthesize calls (the parallel sweep driver)
    share them safely. *)
 let search_cache : (string, Sketch.t list) Cache.t =
@@ -269,13 +245,11 @@ let combo_cache : (string, Combine.combo list) Cache.t =
 
 let reset_caches () =
   Cache.clear search_cache;
-  Cache.clear combo_cache;
-  Cache.clear subsolve_cache
+  Cache.clear combo_cache
 
 let cached_search ~budget topo ~config ~kind ~root =
   let key =
-    Format.asprintf "%s/%d/%s/%d/%d/%b/%b/%d/%d"
-      topo.Topology.name (Topology.num_gpus topo)
+    Format.asprintf "%s/%s/%d/%d/%b/%b/%d/%d" (Topology.fingerprint topo)
       (match kind with `Broadcast -> "b" | `Scatter -> "s")
       root config.Search.max_stages config.Search.prune_isomorphic
       config.Search.prune_consistency
@@ -465,8 +439,7 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
           else cfg.max_combos
         in
         let key =
-          Format.asprintf "%s/%d/%b/%d/%a" topo.Topology.name
-            (Topology.num_gpus topo)
+          Format.asprintf "%s/%b/%d/%a" (Topology.fingerprint topo)
             (List.length primitives > 1)
             max_combos
             (fun fmt l ->
@@ -585,7 +558,8 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
     List.length combos,
     combo.Combine.desc )
 
-let synthesize_memo ~config ~memo ~budget topo coll =
+(* One pipeline attempt, with its own sub-solve memo. *)
+let attempt ~config ~budget topo coll =
   Trace.with_span ~cat:"stage" "synthesize"
     ~args:
       [
@@ -596,15 +570,14 @@ let synthesize_memo ~config ~memo ~budget topo coll =
   let t0 = Clock.now () in
   if coll.Collective.n <> Topology.num_gpus topo then
     invalid_arg "Synthesizer: collective/topology GPU count mismatch";
-  (* Solver/cache activity attributed to this call: deltas of the shared
+  (* MILP activity attributed to this call: deltas of the shared
      process-wide counters (see the breakdown doc for concurrency caveats). *)
   let activity0 =
-    ( Counters.value "cache.subsolve.hits",
-      Counters.value "cache.subsolve.misses",
-      Counters.value "milp.solves",
+    ( Counters.value "milp.solves",
       Counters.value "milp.nodes",
       Counters.value "milp.flow_certified" )
   in
+  let memo = { classes = Hashtbl.create 256; hits = 0; misses = 0 } in
   let pool = Pool.get config.domains in
   let phases = Collective.phases coll in
   let results = List.map (synth_phase ~pool ~memo ~budget config topo) phases in
@@ -614,12 +587,12 @@ let synthesize_memo ~config ~memo ~budget topo coll =
     List.fold_left (fun a (_, _, b, _, _, _) -> add_breakdown a b) zero_breakdown results
   in
   let breakdown =
-    let h0, m0, s0, n0, f0 = activity0 in
+    let s0, n0, f0 = activity0 in
     let d now before = int_of_float (now -. before) in
     {
       breakdown with
-      cache_hits = d (Counters.value "cache.subsolve.hits") h0;
-      cache_misses = d (Counters.value "cache.subsolve.misses") m0;
+      cache_hits = memo.hits;
+      cache_misses = memo.misses;
       milp_solves = d (Counters.value "milp.solves") s0;
       milp_nodes = d (Counters.value "milp.nodes") n0;
       flow_certified = d (Counters.value "milp.flow_certified") f0;
@@ -737,7 +710,7 @@ let last_resort ~t0 ~reason config topo coll =
    schedule counts as that rung crashing.  Caller errors (GPU-count
    mismatch) are raised before the ladder engages so a fallback never
    masks them. *)
-let synthesize_with ~config ~memo ~budget topo coll =
+let synthesize_with ~config ~budget topo coll =
   if coll.Collective.n <> Topology.num_gpus topo then
     invalid_arg "Synthesizer: collective/topology GPU count mismatch";
   let t0 = Clock.now () in
@@ -754,7 +727,7 @@ let synthesize_with ~config ~memo ~budget topo coll =
       ~args:[ ("rung", rung); ("error", Printexc.to_string e) ]
   in
   match
-    let o = synthesize_memo ~config ~memo ~budget topo coll in
+    let o = attempt ~config ~budget topo coll in
     let level = if Budget.degraded budget then Fast else Full in
     validated level (if level = Fast then Some "deadline" else None) o
   with
@@ -768,7 +741,7 @@ let synthesize_with ~config ~memo ~budget topo coll =
         match
           let cfg = { config with fast_only = true } in
           validated Fast (Some r1)
-            (synthesize_memo ~config:cfg ~memo ~budget topo coll)
+            (attempt ~config:cfg ~budget topo coll)
         with
         | o -> o
         | exception e2 ->
@@ -777,27 +750,15 @@ let synthesize_with ~config ~memo ~budget topo coll =
       end
 
 let synthesize ?(config = default_config) topo coll =
-  synthesize_with ~config ~memo:live_memo ~budget:(budget_of_config config)
-    topo coll
+  synthesize_with ~config ~budget:(budget_of_config config) topo coll
 
 (* Parallel sweep driver: synthesize a whole size/collective series
    concurrently on the same pool the per-call solves use.  Awaiting helps,
    so the nested parallel regions inside each synthesize cannot deadlock;
    with [config.domains <= 1] this degrades to a sequential List.map.
-
-   Snapshot isolation: concurrent elements sharing the live sub-solve cache
-   would make results depend on scheduling — which entries are present when
-   an element probes depends on how far its siblings have run, and a
-   normalized transfer hit yields different (valid but not identical)
-   xfers than a direct solve.  Instead every element probes a frozen
-   sweep-start snapshot plus its own insertions, so its schedule is
-   exactly what a standalone [synthesize] would produce from the same
-   starting cache state, for any pool size and any schedule of the
-   workers.  Each overlay is only ever touched from within its own
-   element's (single) task body — helping runs a whole task on one worker,
-   never parts of one task on two — so the overlays need no locking.
-   Insertions are merged back into the shared cache in list order after
-   the whole sweep completes.
+   Every element is a standalone synthesis (each attempt has its own
+   sub-solve memo), so its outcome cannot depend on its siblings, on pool
+   size or on worker scheduling.
 
    Fault isolation: every element runs the full degradation ladder inside
    its own task, under its own {!Budget.detach}ed budget (shared sweep
@@ -815,63 +776,28 @@ let synthesize_all_results ?(config = default_config) topo colls =
   | _ ->
       let pool = Pool.get config.domains in
       let sweep_budget = budget_of_config config in
-      let snap = Hashtbl.create 256 in
-      List.iter
-        (fun (k, v) -> Hashtbl.replace snap k v)
-        (Cache.bindings subsolve_cache);
       let jobs =
         List.map
           (fun coll ->
-            let overlay = Hashtbl.create 64 in
-            let inserts = ref [] in
-            let memo =
-              {
-                memo_find =
-                  (fun k ->
-                    let r =
-                      match Hashtbl.find_opt overlay k with
-                      | Some _ as r -> r
-                      | None -> Hashtbl.find_opt snap k
-                    in
-                    (match r with
-                    | Some _ -> Counters.bump "cache.subsolve.hits"
-                    | None -> Counters.bump "cache.subsolve.misses");
-                    r);
-                memo_put =
-                  (fun k v ->
-                    Hashtbl.replace overlay k v;
-                    inserts := (k, v) :: !inserts);
-              }
-            in
             let budget = Budget.detach sweep_budget in
             ( Pool.submit pool (fun () ->
-                  synthesize_with ~config ~memo ~budget topo coll),
-              budget,
-              inserts ))
+                  synthesize_with ~config ~budget topo coll),
+              budget ))
           colls
       in
-      let outs =
-        List.map
-          (fun (fut, budget, _) ->
-            let r =
-              match Pool.await fut with
-              | o -> Ok o
-              | exception e -> Error (Printexc.to_string e)
-            in
-            (* The element is finished either way; cancel its budget so any
-               helper still holding it bails instead of burning the rest of
-               the deadline. *)
-            Budget.cancel budget;
-            r)
-          jobs
-      in
-      List.iter
-        (fun (_, _, inserts) ->
-          List.iter
-            (fun (k, v) -> Cache.put subsolve_cache k v)
-            (List.rev !inserts))
-        jobs;
-      outs
+      List.map
+        (fun (fut, budget) ->
+          let r =
+            match Pool.await fut with
+            | o -> Ok o
+            | exception e -> Error (Printexc.to_string e)
+          in
+          (* The element is finished either way; cancel its budget so any
+             helper still holding it bails instead of burning the rest of
+             the deadline. *)
+          Budget.cancel budget;
+          r)
+        jobs
 
 let synthesize_all ?(config = default_config) topo colls =
   List.map2

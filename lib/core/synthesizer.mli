@@ -52,8 +52,9 @@ type breakdown = {
   combine_s : float;
   solve1_s : float;
   solve2_s : float;
-  cache_hits : int;  (** sub-solve memo hits during this call *)
-  cache_misses : int;  (** sub-solve memo misses during this call *)
+  cache_hits : int;
+      (** isomorphism classes this call found in its own sub-solve memo *)
+  cache_misses : int;  (** classes this call had to solve *)
   milp_solves : int;  (** MILP models solved during this call *)
   milp_nodes : int;  (** branch-and-bound nodes explored during this call *)
   flow_certified : int;
@@ -62,10 +63,11 @@ type breakdown = {
           certificate; see {!Syccl_teccl.Epoch_model.solve}) *)
 }
 (** Wall-clock per synthesis step (Fig. 16b) plus solver/cache activity.
-    The activity fields are deltas of the process-wide {!Syccl_util.Counters}
-    cells taken around the call: exact for a lone [synthesize], attributed
-    to the whole sweep element when calls run concurrently (the counters
-    are shared). *)
+    [cache_hits]/[cache_misses] are the call's exact counts.  The MILP
+    fields are deltas of the process-wide {!Syccl_util.Counters} cells
+    taken around the call: exact for a lone [synthesize], attributed to
+    the whole sweep element when calls run concurrently (the counters are
+    shared). *)
 
 val zero_breakdown : breakdown
 (** No time spent, no solver activity: the breakdown of an outcome that
@@ -96,17 +98,17 @@ val synthesize :
 (** Synthesize a schedule for the collective on the topology.  AllReduce is
     synthesized as ReduceScatter followed by AllGather (§4.3).
 
-    Deterministic in [config.domains]: for a fixed sub-solve cache state,
-    the same inputs produce the same schedule (and simulated time) for any
-    pool size.  Solved sub-demand classes are memoized in a bounded cache
-    keyed by normalized class key, strategy and chunk-size bucket, so
-    repeated or swept calls skip sub-solves.  A cross-size hit is reused
-    only after {!Subsolver.no_worse_than_direct} accepts it, so cache
-    warmth can never push a sub-schedule below the direct baseline — but
-    the (valid) schedule returned may still differ with what was solved
-    earlier in the process; {!reset_caches} restores cold-start behaviour.
-    Counters under ["cache.*"], ["pool.*"] and ["synth.*"]
-    ({!Syccl_util.Counters}) record activity.
+    A function of the request: the same topology, collective and config
+    give the same schedule (and simulated time) for any pool size and
+    whatever the process synthesized before, except where a MILP
+    wall-clock limit ([milp_time_limit]) or [deadline] cuts a solve.
+    Each isomorphism class of sub-demands is solved once per call and
+    memoized for the rest of that call only — across combinations, the
+    coarse and fine steps, and AllReduce's two phases.  The sketch-search
+    and combination caches are shared process-wide; both are pure
+    functions of a key that covers the topology's
+    {!Syccl_topology.Topology.fingerprint}.  Counters under ["cache.*"],
+    ["pool.*"] and ["synth.*"] ({!Syccl_util.Counters}) record activity.
 
     Robustness: with [config.deadline = Some d] the whole call is budgeted
     to [d] seconds — every stage checks the shared budget cooperatively
@@ -119,8 +121,9 @@ val synthesize :
     call raises only when even the baseline rung cannot produce a valid
     schedule (or the collective/topology GPU counts mismatch, which is
     reported as [Invalid_argument] before the ladder engages).
-    Deadline-degraded sub-results are never memoized, so a tight deadline
-    cannot pollute later unconstrained runs through the caches. *)
+    Deadline-degraded sub-results are never memoized: a truncated search
+    or combination list never enters the shared caches, and a degraded
+    sub-solve is re-solved by a later phase of the same call. *)
 
 val synthesize_all :
   ?config:config ->
@@ -131,12 +134,8 @@ val synthesize_all :
     pool, preserving order.  With [config.domains <= 1] this is a
     sequential map.
 
-    Snapshot isolation: every element probes the sub-solve cache as it was
-    when the sweep started, plus its own insertions — never a sibling's
-    mid-flight insertions — so each element's outcome equals a standalone
-    {!synthesize} from the same starting cache state, independent of pool
-    size and worker scheduling.  Insertions are merged back into the
-    shared cache, in list order, after the sweep completes.
+    Every element's outcome equals a standalone {!synthesize} of it,
+    independent of its siblings, pool size and worker scheduling.
 
     Fault isolation: each element runs the degradation ladder inside its
     own pool task under its own budget (the sweep shares one
@@ -157,5 +156,6 @@ val synthesize_all_results :
     list position instead of being replaced by a fallback outcome. *)
 
 val reset_caches : unit -> unit
-(** Drop the sketch-search, combination and sub-solve caches (used by
-    benchmarks/tests that need cold-start behaviour). *)
+(** Drop the sketch-search and combination caches, so the next call pays
+    for search and combination again (used by benchmarks that time cold
+    synthesis).  Outcomes do not change. *)

@@ -114,10 +114,10 @@ let open_dir root =
       atomic_write ~dir:root (manifest_path t) (manifest_body ()));
   t
 
-(* Same power-of-two bucketing as the synthesizer's cross-size sub-solve
-   memo: schedule structure is size-independent within a bucket, and a
-   stored schedule rescales exactly ({!Schedule.scale}) to any size whose
-   chunk proportions match.
+(* Power-of-two buckets are the registry's reuse granularity: a stored
+   schedule rescales exactly ({!Schedule.scale}) to any size whose chunk
+   proportions match, and every rescaled hit is re-validated and
+   re-simulated before it may serve.
 
    [frexp] gives the bucket exactly: size = m * 2^e with m in [0.5, 1), so
    floor(log2 size) = e - 1 with no rounding nudge.  The old
@@ -714,15 +714,22 @@ let probe t ?(blocks = 8) topo (coll : Collective.t) =
                 (fun (_, a) (_, b) -> same_observation a b)
                 m.near near ->
         m.verdict
-    | _ ->
+    | _ -> (
         if Option.is_some prev then Counters.bump "cache.probe.stale";
-        let verdict =
+        match
           match exact with
           | Missing -> judge_near ~blocks topo coll near
           | Unreadable | Read _ -> judge_exact ~blocks topo coll k exact
-        in
-        Cache.put memo mkey { exact; near; verdict };
-        verdict
+        with
+        | verdict ->
+            Cache.put memo mkey { exact; near; verdict };
+            verdict
+        | exception _ ->
+            (* A judge that raises (the sim.crash fault point, a simulator
+               bug) costs the hit, never the response.  Its verdict says
+               nothing about the bytes, so it is not memoized: the entry
+               is judged afresh once the fault clears. *)
+            Miss Invalid)
   in
   count verdict;
   served verdict

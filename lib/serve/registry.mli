@@ -178,7 +178,9 @@ val probe :
     again, and bumps exactly the ["registry.*"] counters a fresh probe
     would.  Any difference — a rewritten, truncated, deleted, newly
     present or unreadable file — judges the new bytes and replaces the
-    memo entry (["cache.probe.stale"]).
+    memo entry (["cache.probe.stale"]).  A judge that raises (the
+    ["sim.crash"] fault point) makes the probe a [Miss Invalid] and
+    memoizes nothing, so the entry is judged again on the next probe.
 
     {e Safety.}  The verdict is a deterministic function of four inputs:
     the bytes of each file read (or its absence); the topology, through

@@ -58,7 +58,7 @@ let hit_outcome (request : Request.t) (hit : Registry.hit) =
    in place of a full solve — the top ladder rung, with MILP refinement on.
    Fast-only or degraded results would be valid but slower; storing them
    would let a tight deadline today pollute an unconstrained run tomorrow
-   (the same rule the in-memory sub-solve memo follows). *)
+   (the same rule the synthesizer's caches follow). *)
 let storable (request : Request.t) (o : Synthesizer.outcome) =
   o.Synthesizer.degraded = Synthesizer.Full
   && (not request.Request.config.Synthesizer.fast_only)
@@ -84,11 +84,11 @@ let store_result registry (request : Request.t) (o : Synthesizer.outcome) =
   | _ -> false
 
 (* Group synthesis work by (topology structure, config) so each group runs
-   through [synthesize_all] — one pipeline invocation with snapshot
-   isolation and per-element fault containment.  Groups preserve request
-   order; grouping keys on the fingerprint, so two requests that built the
-   same cluster under different names still share a sweep.  Members are
-   (request key, request) pairs. *)
+   through [synthesize_all] — one concurrent sweep with per-element fault
+   containment.  Groups preserve request order; grouping keys on the
+   fingerprint, so two requests that built the same cluster under
+   different names still share a sweep.  Members are (request key,
+   request) pairs. *)
 let group_requests keyed =
   let groups = Hashtbl.create 8 and order = ref [] in
   List.iter
@@ -169,13 +169,13 @@ let audit_record ~key (o : outcome) =
   }
 
 let run_batch ?registry ?audit ?lower requests =
-  (* Dedupe on the request key: equal keys are guaranteed identical
-     outcomes (synthesis is deterministic in everything the key covers),
-     so each unique request is probed and executed once.  The probe runs
-     before any solver: a verified hit is served as is, anything else
-     (no registry, or a miss of any reason) is synthesized.  Each key is
-     computed once, and every lookup below is a hash-table lookup, so the
-     bookkeeping stays linear in the batch. *)
+  (* Dedupe on the request key: equal keys get identical outcomes
+     (synthesis is a function of everything the key covers, except where a
+     MILP wall-clock limit cuts a solve), so each unique request is probed
+     and executed once.  The probe runs before any solver: a verified hit
+     is served as is, anything else (no registry, or a miss of any reason)
+     is synthesized.  Each key is computed once, and every lookup below is
+     a hash-table lookup, so the bookkeeping stays linear in the batch. *)
   let keyed = List.map (fun r -> (Request.key r, r)) requests in
   let seen = Hashtbl.create 64 in
   let uniques =

@@ -18,10 +18,10 @@
 
     Batch execution dedupes requests on {!Request.key} and runs the
     remaining synthesis work through
-    {!Syccl.Synthesizer.synthesize_all}, inheriting its snapshot
-    isolation (deterministic for any pool width) and per-element fault
-    isolation (a crashing request degrades to the fallback baseline,
-    its siblings keep going). *)
+    {!Syccl.Synthesizer.synthesize_all}: every element is a standalone
+    synthesis (the same outcome for any pool width and any batch it
+    arrives in), with per-element fault isolation (a crashing request
+    degrades to the fallback baseline, its siblings keep going). *)
 
 type source =
   | From_registry of {

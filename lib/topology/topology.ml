@@ -116,9 +116,9 @@ let with_link t ~dim link =
 let faults t = t.faults
 
 (* The name of the healthy topology a (possibly punctured) one came from:
-   puncturing appends "!" plus the canonical fault encoding, so everything
-   keyed on [name] (sub-solve memo, search and combination caches) separates
-   punctured variants from the pristine topology for free. *)
+   puncturing appends "!" plus the canonical fault encoding.  A name is a
+   label, not an identity — builders reuse one across shapes and links — so
+   caches key on {!fingerprint}, never on [name]. *)
 let base_name t =
   match String.index_opt t.name '!' with
   | None -> t.name

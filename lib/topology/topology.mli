@@ -84,10 +84,11 @@ val puncture : t -> Fault.t -> t
 (** [puncture t f] is the surviving topology after losing the hardware in
     [f] (unioned with any faults [t] already carries).  The result's
     {!fingerprint} and [name] both fold in the canonical fault encoding, so
-    caches and registries keyed on either separate punctured variants from
-    the pristine topology automatically.  Raises [Invalid_argument] when an
-    element is out of range (unknown GPU/dimension/port group, or link
-    endpoints that are not peers). *)
+    caches and registries keyed on the fingerprint separate punctured
+    variants from the pristine topology automatically (a name alone keys
+    nothing: builders reuse names across shapes and links).  Raises
+    [Invalid_argument] when an element is out of range (unknown
+    GPU/dimension/port group, or link endpoints that are not peers). *)
 
 val base : t -> t
 (** The healthy topology a punctured one came from (identity when no

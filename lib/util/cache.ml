@@ -108,12 +108,6 @@ let find_or_compute c k f =
       put c k v;
       v
 
-let bindings c =
-  Mutex.lock c.lock;
-  let l = Hashtbl.fold (fun k (v, _, _) acc -> (k, v) :: acc) c.tbl [] in
-  Mutex.unlock c.lock;
-  l
-
 let length c =
   Mutex.lock c.lock;
   let n = Hashtbl.length c.tbl in

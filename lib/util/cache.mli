@@ -35,10 +35,5 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     the lock; concurrent misses on the same key may compute twice (the
     results race benignly via replace). *)
 
-val bindings : ('k, 'v) t -> ('k * 'v) list
-(** Unordered snapshot of the current contents.  Does not refresh recency
-    and counts neither hits nor misses (used to freeze a consistent view,
-    e.g. the sweep-start snapshot of {!Syccl.Synthesizer.synthesize_all}). *)
-
 val length : ('k, 'v) t -> int
 val clear : ('k, 'v) t -> unit

@@ -34,8 +34,6 @@ let exact =
     (* lib/core *)
     "cache.subsolve.hits";
     "cache.subsolve.misses";
-    "cache.subsolve.quality_fail";
-    "cache.subsolve.transfer_fail";
     "subsolve.budget_skips";
     "subsolve.solve_s";
     "subsolve.widened";

@@ -448,6 +448,27 @@ let test_registry_crash_failopen () =
   check (Alcotest.float 0.0) "crashed read of a memoized hit counted corrupt"
     1.0 corrupt
 
+(* A simulator that crashes while an entry is judged costs the hit, never
+   the response: the probe is an invalid miss, for the exact entry and for
+   a rescaled one alike, and that verdict is not memoized, so the entry
+   hits again once the fault clears. *)
+let test_registry_sim_crash_failopen () =
+  let reg = fresh_registry () in
+  let r = req () in
+  let _ = Serve.run ~registry:reg r in
+  check Alcotest.int "clean run persists" 1 (Registry.length reg);
+  List.iter
+    (fun (what, r) ->
+      let o =
+        with_faults "sim.crash:1.0" (fun () -> Serve.run ~registry:reg r)
+      in
+      checkb (what ^ ": crashed judge is an invalid miss") true
+        (o.Serve.probe = Some (Registry.Miss Registry.Invalid));
+      let o = Serve.run ~registry:reg r in
+      checkb (what ^ ": hits once the fault clears") true
+        (match o.Serve.probe with Some (Registry.Hit _) -> true | _ -> false))
+    [ ("exact", r); ("rescaled", req ~size:98304.0 ()) ]
+
 let test_audit_crash_failopen () =
   let reg = fresh_registry () in
   let sink = Audit.for_registry reg in
@@ -1075,6 +1096,8 @@ let suite =
       test_probe_miss_reasons;
     Alcotest.test_case "registry.crash faultpoint is fail-open" `Quick
       test_registry_crash_failopen;
+    Alcotest.test_case "sim.crash while judging is fail-open" `Quick
+      test_registry_sim_crash_failopen;
     Alcotest.test_case "audit.crash faultpoint is fail-open" `Quick
       test_audit_crash_failopen;
     Alcotest.test_case "audit trail round-trips" `Quick test_audit_roundtrip;

@@ -88,9 +88,8 @@ let env_domains =
 let test_parallel_domains_same_result () =
   let topo = Builders.h800 ~servers:2 in
   let coll = C.make C.AllGather ~n:16 ~size:1e6 in
-  (* Reset between runs: otherwise the first call warms the sub-solve cache
-     and the later domain counts resolve everything by identity transfer,
-     never exercising the parallel solve path they are meant to check. *)
+  (* Reset between runs so every domain count also runs its own search and
+     combination, not just the sub-solves. *)
   Synth.reset_caches ();
   let o1 = Synth.synthesize ~config:fast topo coll in
   Synth.reset_caches ();
@@ -103,30 +102,39 @@ let test_parallel_domains_same_result () =
   check (Alcotest.float 1e-9) "deterministic at SYCCL_TEST_DOMAINS"
     o1.Synth.time oe.Synth.time
 
+(* The sub-solve memo lives for one call: AllReduce's AllGather phase
+   reuses its ReduceScatter phase's classes, and the breakdown reports
+   exactly the hits the process-wide counter saw during the call. *)
+let check_allreduce_memo topo cfg =
+  let coll = C.make C.AllReduce ~n:(T.num_gpus topo) ~size:1e6 in
+  let h0 = Syccl_util.Counters.value "cache.subsolve.hits" in
+  let o = Synth.synthesize ~config:cfg topo coll in
+  let dh = Syccl_util.Counters.value "cache.subsolve.hits" -. h0 in
+  let hits = o.Synth.breakdown.Synth.cache_hits in
+  Alcotest.(check bool) "allreduce reuses its own sub-solves" true (hits > 0);
+  check Alcotest.int "breakdown equals the call's counter delta"
+    (int_of_float dh) hits
+
 let test_repeat_synthesize_hits_cache () =
   let topo = Builders.h800 ~servers:2 in
   let coll = C.make C.AllGather ~n:16 ~size:1e6 in
   let cfg = { fast with domains = env_domains } in
   Synth.reset_caches ();
   let o1 = Synth.synthesize ~config:cfg topo coll in
-  let h0 = Syccl_util.Counters.value "cache.subsolve.hits" in
   let o2 = Synth.synthesize ~config:cfg topo coll in
-  let h1 = Syccl_util.Counters.value "cache.subsolve.hits" in
-  Alcotest.(check bool) "second run hits the sub-solve cache" true (h1 > h0);
   check (Alcotest.float 1e-12) "identical simulated time" o1.Synth.time
     o2.Synth.time;
-  check Alcotest.string "identical winner" o1.Synth.chosen o2.Synth.chosen
+  check Alcotest.string "identical winner" o1.Synth.chosen o2.Synth.chosen;
+  check_allreduce_memo topo cfg
 
 let test_sweep_reuses_subsolves () =
   let topo = Builders.h800 ~servers:2 in
   let coll = C.make C.AllGather ~n:16 ~size:1e6 in
   let cfg = { fast with domains = env_domains } in
   Synth.reset_caches ();
-  (* Warm the sub-solve cache, then sweep the same problem concurrently:
-     the repeats must be mostly cache hits and byte-identical outcomes. *)
+  (* A standalone call, then the same problem swept concurrently: every
+     repeat must give the same outcome. *)
   let base = Synth.synthesize ~config:cfg topo coll in
-  let h0 = Syccl_util.Counters.value "cache.subsolve.hits"
-  and m0 = Syccl_util.Counters.value "cache.subsolve.misses" in
   let outs = Synth.synthesize_all ~config:cfg topo [ coll; coll; coll ] in
   check Alcotest.int "three outcomes" 3 (List.length outs);
   List.iter
@@ -134,18 +142,12 @@ let test_sweep_reuses_subsolves () =
       check (Alcotest.float 1e-12) "sweep deterministic" base.Synth.time
         o.Synth.time)
     outs;
-  let dh = Syccl_util.Counters.value "cache.subsolve.hits" -. h0
-  and dm = Syccl_util.Counters.value "cache.subsolve.misses" -. m0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "sub-solve hit rate >= 50%% (%.0f hits, %.0f misses)" dh dm)
-    true
-    (dh > 0.0 && dh /. (dh +. dm) >= 0.5)
+  check_allreduce_memo topo cfg
 
 let test_sweep_distinct_sizes_deterministic () =
-  (* No pre-warming: a cold sweep over distinct sizes must, thanks to the
-     snapshot isolation of synthesize_all, give every element exactly the
-     outcome of a standalone cold synthesize — regardless of pool size or
-     of how far sibling elements have progressed. *)
+  (* A sweep over distinct sizes must give every element exactly the
+     outcome of a standalone synthesize — regardless of pool size or of
+     how far sibling elements have progressed. *)
   let topo = Builders.h800 ~servers:2 in
   let colls =
     List.map (fun size -> C.make C.AllGather ~n:16 ~size) [ 2.5e5; 1e6; 4e6 ]
@@ -167,6 +169,50 @@ let test_sweep_distinct_sizes_deterministic () =
       check Alcotest.string "same winner" s.Synth.chosen o.Synth.chosen)
     outs solo;
   Synth.reset_caches ()
+
+let same_outcome what (a : Synth.outcome) (b : Synth.outcome) =
+  check Alcotest.int64 (what ^ ": bit-equal time")
+    (Int64.bits_of_float a.Synth.time)
+    (Int64.bits_of_float b.Synth.time);
+  check Alcotest.string (what ^ ": same winner") a.Synth.chosen b.Synth.chosen;
+  check Alcotest.string (what ^ ": same rung")
+    (Synth.level_name a.Synth.degraded)
+    (Synth.level_name b.Synth.degraded);
+  Alcotest.(check bool) (what ^ ": same schedules") true
+    (a.Synth.schedules = b.Synth.schedules)
+
+(* Synthesis is a function of the request: an earlier request of the same
+   kind one size step below (same power-of-two bucket) must not change
+   what a later one gets. *)
+let test_history_independent () =
+  let topo = Builders.a100 ~servers:2 in
+  List.iter
+    (fun kind ->
+      let at size = C.make kind ~n:16 ~size in
+      Synth.reset_caches ();
+      ignore (Synth.synthesize ~config:fast topo (at 1.048576e6));
+      let after = Synth.synthesize ~config:fast topo (at 1.572864e6) in
+      Synth.reset_caches ();
+      let fresh = Synth.synthesize ~config:fast topo (at 1.572864e6) in
+      same_outcome (C.kind_name kind) fresh after)
+    [ C.AllGather; C.ReduceScatter; C.AllReduce ]
+
+(* Two topologies that share a name but not a shape: the second must not
+   inherit the first's sketches or combinations. *)
+let test_same_name_other_shape () =
+  let nvlink = Syccl_topology.Link.make ~alpha:0.8e-6 ~gbps:180.0
+  and rail = Syccl_topology.Link.make ~alpha:5.0e-6 ~gbps:50.0 in
+  let rails servers gpus_per_server =
+    Builders.multi_rail ~servers ~gpus_per_server ~nvlink ~rail ()
+  in
+  let coll = C.make C.AllGather ~n:8 ~size:1.048576e6 in
+  Synth.reset_caches ();
+  let fresh = Synth.synthesize ~config:fast (rails 4 2) coll in
+  Synth.reset_caches ();
+  ignore (Synth.synthesize ~config:fast (rails 2 4) coll);
+  let after = Synth.synthesize ~config:fast (rails 4 2) coll in
+  check Alcotest.string "full rung" "full" (Synth.level_name after.Synth.degraded);
+  same_outcome "4x2 after 2x4" fresh after
 
 let test_sendrecv_direct_or_relay () =
   let topo = Builders.h800 ~servers:2 in
@@ -200,4 +246,6 @@ let suite =
     ("repeat synthesize hits cache", `Quick, test_repeat_synthesize_hits_cache);
     ("sweep reuses subsolves", `Quick, test_sweep_reuses_subsolves);
     ("sweep distinct sizes deterministic", `Quick, test_sweep_distinct_sizes_deterministic);
+    ("history independent", `Quick, test_history_independent);
+    ("same name other shape", `Quick, test_same_name_other_shape);
   ]

@@ -7,8 +7,8 @@
       because a wall-clock jump can make deadlines fire instantly or never.
 
    2. No top-level [Hashtbl.create] outside lib/util — a module-level table
-      created at load time is shared mutable state invisible to the pool's
-      snapshot-isolation discipline.  Shared tables belong in lib/util
+      created at load time is shared mutable state that concurrent
+      synthesize calls race on.  Shared tables belong in lib/util
       (Cache, Counters, Trace, Pool) where their locking is audited; local
       tables created inside functions are fine.
 
