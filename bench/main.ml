@@ -1057,13 +1057,123 @@ let bench_hits () =
          ("rows", Json.List rows);
        ])
 
+(* --- `synth` target: reference sketch search vs the incremental one ------ *)
+
+(* A/B of the retired sketch search (Syccl_check.Search_ref) against
+   Search.run on the searches cold synthesis runs — Broadcast and Scatter
+   sketches from root 0, default config — plus the fast-only 1 MiB
+   AllGather and AlltoAll synthesis each topology's sketches feed, with
+   the caches reset first.  The grid is a100-16, fig3 and multirail:2x2
+   (--smoke, the default); --full adds a100-32 and h800-64.  A search row
+   records both searches' sketch counts, whether the lists are
+   structurally equal (the process fails if not), allocated words per
+   search and the fastest of five timing trials; a synthesis row records
+   the winner, the simulated time as a hex float, busbw and the sketch and
+   combination counts.  Writes BENCH_synth.json for
+   `report --check --current=...`. *)
+let bench_synth () =
+  let module Json = Syccl_util.Json in
+  let module Search = Syccl.Search in
+  let module Search_ref = Syccl_check.Search_ref in
+  Printf.printf "\n== bench synth: reference sketch search vs incremental search ==\n";
+  let topos =
+    [ "a100-16"; "fig3"; "multirail:2x2" ]
+    @ if !full then [ "a100-32"; "h800-64" ] else []
+  in
+  let kind_name = function `Broadcast -> "broadcast" | `Scatter -> "scatter" in
+  Printf.printf "%-14s %-9s | %7s %7s %5s | %9s %9s %8s | %11s %11s %6s\n"
+    "topology" "kind" "ref_n" "n" "equal" "ref_s" "search_s" "speedup"
+    "ref_words" "words" "ratio";
+  let search_rows =
+    List.concat_map
+      (fun name ->
+        let topo = Syccl_serve.Request.topo_of_name name in
+        List.map
+          (fun kind ->
+            let ref_run () = Search_ref.run topo ~kind ~root:0
+            and run () = Search.run topo ~kind ~root:0 in
+            let expected = ref_run () and got = run () in
+            let lists_equal = expected = got in
+            if not lists_equal then begin
+              Printf.printf "bench synth: searches disagree on %s %s\n" name
+                (kind_name kind);
+              exit 1
+            end;
+            let ref_s, search_s =
+              fastest (fun () -> ignore (ref_run ())) (fun () -> ignore (run ()))
+            in
+            let ref_words = words (fun () -> ignore (ref_run ()))
+            and search_words = words (fun () -> ignore (run ())) in
+            let speedup = if search_s > 0.0 then ref_s /. search_s else 0.0 in
+            Printf.printf
+              "%-14s %-9s | %7d %7d %5b | %9.2e %9.2e %7.2fx | %11.0f %11.0f %5.1fx\n%!"
+              name (kind_name kind) (List.length expected) (List.length got)
+              lists_equal ref_s search_s speedup ref_words search_words
+              (ref_words /. search_words);
+            Json.Obj
+              [
+                ("row", Json.Str "search");
+                ("topology", Json.Str name);
+                ("kind", Json.Str (kind_name kind));
+                ("ref_sketches", Json.Num (float_of_int (List.length expected)));
+                ("sketches", Json.Num (float_of_int (List.length got)));
+                ("lists_equal", Json.Bool lists_equal);
+                ("ref_s", Json.Num ref_s);
+                ("search_s", Json.Num search_s);
+                ("speedup", Json.Num speedup);
+                ("ref_alloc_words", Json.Num ref_words);
+                ("search_alloc_words", Json.Num search_words);
+              ])
+          [ `Broadcast; `Scatter ])
+      topos
+  in
+  Printf.printf "\n%-14s %-9s | %-24s | %-24s %9s | %8s %6s\n" "topology"
+    "collective" "chosen" "time" "busbw" "sketches" "combos";
+  let config = { Synth.default_config with Synth.fast_only = true; domains = 1 } in
+  let synth_rows =
+    List.concat_map
+      (fun name ->
+        let topo = Syccl_serve.Request.topo_of_name name in
+        List.map
+          (fun kind ->
+            Synth.reset_caches ();
+            let coll = C.make kind ~n:(T.num_gpus topo) ~size:1.048576e6 in
+            let o = Synth.synthesize ~config topo coll in
+            Printf.printf "%-14s %-9s | %-24s | %-24h %9.2f | %8d %6d\n%!" name
+              (C.kind_name kind) o.Synth.chosen o.Synth.time o.Synth.busbw
+              o.Synth.num_sketches o.Synth.num_combos;
+            Json.Obj
+              [
+                ("row", Json.Str "synth");
+                ("topology", Json.Str name);
+                ("kind", Json.Str (C.kind_name kind));
+                ("size", Json.Num coll.C.size);
+                ("chosen", Json.Str o.Synth.chosen);
+                ("time", Json.Str (Printf.sprintf "%h" o.Synth.time));
+                ("busbw", Json.Num o.Synth.busbw);
+                ("sketches", Json.Num (float_of_int o.Synth.num_sketches));
+                ("combos", Json.Num (float_of_int o.Synth.num_combos));
+              ])
+          [ C.AllGather; C.AllToAll ])
+      topos
+  in
+  write_bench_json "BENCH_synth.json"
+    (Json.Obj
+       [
+         ("schema_version", Json.Num 1.0);
+         ("bench", Json.Str "synth");
+         ("mode", Json.Str (if !full then "full" else "smoke"));
+         ("rows", Json.List (search_rows @ synth_rows));
+       ])
+
 (* --- Bench observatory: regression report over BENCH_*.json ------------- *)
 
 (* Regression gates over the BENCH_*.json files, exiting non-zero on a
    regression.  The gate is chosen by the "bench" field of --current
    (default BENCH_milp.json): the fleet hit rate ("fleet"), or the
-   simulator kernels ("sim"), the probe memo ("hits") or MILP engines
-   ("milp") against --baseline.
+   simulator kernels ("sim"), the probe memo ("hits"), the sketch search
+   and the schedules it feeds ("synth") or MILP engines ("milp") against
+   --baseline.
    Absolute timings are machine-dependent, so the gates are ratio- and
    count-based.  --check makes an unusable comparison (missing file,
    missing or unknown "bench" field, zero matched rows) itself a failure,
@@ -1213,6 +1323,51 @@ let bench_report () =
             @ (if cw <= 2.0 *. bw then [] else [ "memo-words-regression" ])
             @ if cs *. !report_threshold >= bs then []
               else [ "speedup-regression" ] ))
+  | Some (Json.Str "synth") ->
+      (* Synthesis gate: rows are matched on (row, topology, kind).  A
+         search row regresses when the two searches stopped returning equal
+         lists, its sketch count moved, it allocates more than twice the
+         baseline's words, its speedup over the reference search fell below
+         baseline/threshold, or — on fig3 and a100-32, the ROADMAP's
+         allocation target — it allocates more than a third of the
+         reference search's words.  A synthesis row regresses when its
+         winner, its simulated time (bit for bit) or its sketch and
+         combination counts moved. *)
+      let words_target = [ "fig3"; "a100-32" ] in
+      gate_rows cur
+        ~key:(fun row ->
+          Printf.sprintf "%s/%s/%s" (str row "row") (str row "topology")
+            (str row "kind"))
+        ~judge:(fun brow crow ->
+          let same k = num crow k = num brow k in
+          if str crow "row" = "search" then
+            let bs = num brow "speedup" and cs = num crow "speedup" in
+            let words = num crow "search_alloc_words" in
+            let ref_words = num crow "ref_alloc_words" in
+            ( Printf.sprintf
+                "%4.0f sketches, %5.1fx fewer words, speedup %5.2fx (baseline \
+                 %5.2fx)"
+                (num crow "sketches") (ref_words /. words) cs bs,
+              (if field crow "lists_equal" = Some (Json.Bool true) then []
+               else [ "lists-mismatch" ])
+              @ (if same "sketches" then [] else [ "sketches-changed" ])
+              @ (if words <= 2.0 *. num brow "search_alloc_words" then []
+                 else [ "words-regression" ])
+              @ (if
+                   List.mem (str crow "topology") words_target
+                   && 3.0 *. words > ref_words
+                 then [ "words-above-a-third" ]
+                 else [])
+              @ if cs *. !report_threshold >= bs then []
+                else [ "speedup-regression" ] )
+          else
+            ( Printf.sprintf "%s, time %s" (str crow "chosen") (str crow "time"),
+              (if str crow "chosen" = str brow "chosen" then []
+               else [ "chosen-changed" ])
+              @ (if str crow "time" = str brow "time" then []
+                 else [ "time-changed" ])
+              @ if same "sketches" && same "combos" then []
+                else [ "work-changed" ] ))
   | Some (Json.Str "milp") ->
       (* Solver gate: rows are matched on GPU count.  A row regresses when
          its revised-vs-dense speedup falls below baseline/threshold, its
@@ -1232,7 +1387,8 @@ let bench_report () =
               else [ "speedup-regression" ] ))
   | _ when cur = None -> unusable "missing %s" current
   | _ ->
-      unusable "%s has no known \"bench\" field (milp, sim, hits or fleet)"
+      unusable
+        "%s has no known \"bench\" field (milp, sim, hits, synth or fleet)"
         current
 
 (* --- Trace emission (--trace=FILE) -------------------------------------- *)
@@ -1299,6 +1455,7 @@ let targets =
     ("fleet", bench_fleet);
     ("sim", bench_sim);
     ("hits", bench_hits);
+    ("synth", bench_synth);
     ("report", bench_report);
   ]
 

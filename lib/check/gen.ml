@@ -53,6 +53,28 @@ let topology ?zero_alpha rng =
       Builders.single_switch ~name:"fuzz-wide" ~n ~link:(link ?zero_alpha rng)
         ()
 
+(* The same family, GPU count and dimension count as [t] in another shape,
+   where the family has one: fuzz-clos levels reversed, fuzz-rail servers
+   and GPUs per server swapped (spine kept).  Links are drawn afresh. *)
+let reshape ?zero_alpha rng (t : Topology.t) =
+  let levels = Array.to_list t.Topology.shape in
+  let flipped = List.rev levels in
+  if flipped = levels then None
+  else
+    match t.Topology.name with
+    | "fuzz-clos" ->
+        let links = List.map (fun _ -> link ?zero_alpha rng) flipped in
+        Some (Builders.clos ~name:"fuzz-clos" ~levels:flipped ~links ())
+    | "fuzz-rail" ->
+        let nvlink = link ?zero_alpha rng and rail = link ?zero_alpha rng in
+        let spine =
+          if Topology.num_dims t > 2 then Some (link ?zero_alpha rng) else None
+        in
+        Some
+          (Builders.multi_rail ~name:"fuzz-rail" ~servers:(List.nth levels 1)
+             ~gpus_per_server:(List.hd levels) ~nvlink ~rail ?spine ())
+    | _ -> None
+
 let all_kinds =
   [|
     Collective.SendRecv; Collective.Broadcast; Collective.Scatter;

@@ -12,6 +12,14 @@ val topology : ?zero_alpha:bool -> Syccl_util.Xrand.t -> Syccl_topology.Topology
 (** One of: single switch (2–8 GPUs), two/three-level Clos, multi-rail
     with optional spine, wide single switch.  At most 12 GPUs. *)
 
+val reshape :
+  ?zero_alpha:bool -> Syccl_util.Xrand.t -> Syccl_topology.Topology.t ->
+  Syccl_topology.Topology.t option
+(** A {!topology} of the same family name, GPU count and dimension count
+    in another shape (fuzz-clos levels reversed, fuzz-rail servers and
+    GPUs per server swapped), with fresh links; [None] for single-switch
+    families and shapes that read the same reversed. *)
+
 val all_kinds : Syccl_collective.Collective.kind array
 
 val size : Syccl_util.Xrand.t -> float

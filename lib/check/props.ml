@@ -714,11 +714,12 @@ let prop_oracle ctx =
 (* Synthesis is a function of the request.  A request synthesized again
    after 1–3 others — its kind at another size in its power-of-two bucket,
    another kind at its size, itself on a second generator topology of the
-   same family name and GPU count — gets the same outcome: bit-equal time,
-   the same winner and rung, structurally equal schedules.  Fast-only with
-   no deadline, so no wall clock can cut a solve.  The shared caches are
-   reset after the first run: solutions that outlived it would otherwise
-   let the second run replay the first and hide what the history left. *)
+   same family name and GPU count, preferably of another shape — gets the
+   same outcome: bit-equal time, the same winner and rung, structurally
+   equal schedules.  Fast-only with no deadline, so no wall clock can cut
+   a solve.  The shared caches are reset after the first run: solutions
+   that outlived it would otherwise let the second run replay the first
+   and hide what the history left. *)
 
 let prop_synth_history ctx =
   let rng = ctx.rng in
@@ -747,16 +748,31 @@ let prop_synth_history ctx =
         let peer = if k = Collective.SendRecv then (root + 1) mod n else 0 in
         Collective.make ~root ~peer k ~n ~size
       in
+      (* The twin shares the family name and GPU count, and preferably not
+         the shape: a cache keyed by anything coarser than the topology's
+         structure then hands one the other's sketches.  First choice is
+         another shape with the same dimension count (fuzz-clos [2;4]
+         against [4;2], fuzz-rail 2x4 against 4x2), where a key that holds
+         the search depth but not the shape still collides; then a drawn
+         twin of another shape (fuzz-clos [2;4] against [2;2;2], fuzz-rail
+         with and without a spine); then any drawn twin. *)
       let twin =
-        let rec draw tries =
-          if tries = 0 then None
+        let structure t =
+          ( t.Topology.shape,
+            Array.map (fun d -> d.Topology.free_axes) t.Topology.dims )
+        in
+        let rec draw tries fallback =
+          if tries = 0 then fallback
           else
             let t = Gen.topology rng in
-            if t.Topology.name = topo.Topology.name && Topology.num_gpus t = n
-            then Some t
-            else draw (tries - 1)
+            if t.Topology.name <> topo.Topology.name || Topology.num_gpus t <> n
+            then draw (tries - 1) fallback
+            else if structure t <> structure topo then Some t
+            else draw (tries - 1) (if fallback = None then Some t else fallback)
         in
-        draw 40
+        match Gen.reshape rng topo with
+        | Some t -> Some t
+        | None -> draw 40 None
       in
       let history =
         Array.of_list
@@ -1152,6 +1168,130 @@ let prop_lower_replay ctx =
   go (List.combine phases schedules)
 
 (* ------------------------------------------------------------------ *)
+(* search differential: the incremental sketch search against the retired
+   one kept in {!Search_ref}, on healthy and punctured generator
+   topologies, both kinds, any root, and random configurations — each
+   pruning on or off, relay limit none, 1 or 2, and an emission cap or
+   node budget small enough to be reached, sometimes under an already
+   expired deadline.  Both must return structurally equal sketch lists in
+   the same order and agree on truncation: the caps, the dedup tables and
+   the deadline checks all see the same enumeration.  The fingerprint
+   values are pinned as well — every sketch's signature and the structural
+   labels of it and of a prefix of its stages equal the reference's — since
+   a different hash that groups the same states would pass the list check
+   here and still change what a larger search prunes. *)
+
+module Search = Syccl.Search
+module Sketch = Syccl.Sketch
+module Budget = Syccl_util.Budget
+
+let prop_search_differential ctx =
+  let rng = ctx.rng in
+  let healthy = Gen.topology rng in
+  let topo, faults =
+    if X.bool rng then (healthy, "healthy")
+    else
+      match draw_faults rng healthy ~max_elts:2 with
+      | None -> (healthy, "healthy")
+      | Some f -> (Topology.puncture healthy f, Fault.encode f)
+  in
+  let kind = if X.bool rng then `Broadcast else `Scatter in
+  let root = X.int rng (Topology.num_gpus topo) in
+  let nd = Topology.num_dims topo in
+  let config =
+    {
+      Search.max_stages = X.pick rng [| nd; nd + 1; nd + 2 |];
+      prune_isomorphic = X.bool rng;
+      prune_consistency = X.bool rng;
+      relay_limit = X.pick rng [| None; Some 1; Some 2 |];
+      max_sketches = X.pick rng [| 1; 3; 8; 32; 1024 |];
+      node_budget = X.pick rng [| 20; 100; 500; 2_000; 20_000 |];
+    }
+  in
+  (* An expired deadline truncates at the first budget check, which both
+     searches make at the same node counts. *)
+  let expired = X.int rng 8 = 0 in
+  let run reference =
+    let search = if reference then Search_ref.run else Search.run in
+    let truncated = ref false in
+    let budget =
+      if expired then Budget.create ~seconds:0.0 () else Budget.unlimited
+    in
+    let r =
+      outcome (fun () -> search ~config ~budget ~truncated topo ~kind ~root)
+    in
+    (r, !truncated)
+  in
+  let got, got_trunc = run false and expected, ref_trunc = run true in
+  let describe () =
+    Format.asprintf
+      "%s (n=%d, faults %s), %s from root %d, max_stages %d, isomorphic %b, \
+       consistency %b, relay %s, max_sketches %d, node_budget %d%s"
+      topo.Topology.name (Topology.num_gpus topo) faults
+      (match kind with `Broadcast -> "broadcast" | `Scatter -> "scatter")
+      root config.Search.max_stages config.Search.prune_isomorphic
+      config.Search.prune_consistency
+      (match config.Search.relay_limit with
+      | None -> "none"
+      | Some x -> string_of_int x)
+      config.Search.max_sketches config.Search.node_budget
+      (if expired then ", expired deadline" else "")
+  in
+  (* The fingerprint values themselves, not only the states they group:
+     each sketch's signature, and the structural labels of the sketch and
+     of its first stages alone. *)
+  let fingerprints_differ (s : Sketch.t) =
+    let cut = X.int rng (s.Sketch.num_stages + 1) in
+    let keep a =
+      Array.mapi (fun v x -> if s.Sketch.stage_of.(v) < cut then x else -1) a
+    in
+    let labels (stage_of, parent, dim_of) =
+      ( Sketch.structural_labels topo ~root:s.Sketch.root ~stage_of ~parent
+          ~dim_of,
+        Search_ref.structural_labels topo ~root:s.Sketch.root ~stage_of
+          ~parent ~dim_of )
+    in
+    let full = labels (s.Sketch.stage_of, s.Sketch.parent, s.Sketch.dim_of)
+    and partial =
+      labels (keep s.Sketch.stage_of, keep s.Sketch.parent, keep s.Sketch.dim_of)
+    in
+    if Sketch.signature topo s <> Search_ref.signature topo s then
+      Some "signature"
+    else if fst full <> snd full then Some "structural labels"
+    else if fst partial <> snd partial then
+      Some (Printf.sprintf "structural labels of stages < %d" cut)
+    else None
+  in
+  match (got, expected) with
+  | Error e, Error e' when e = e' -> Pass
+  | Ok a, Ok b when a = b -> (
+      match List.find_map fingerprints_differ a with
+      | Some what ->
+          failf "search-differential: %s differs from the reference on %s" what
+            (describe ())
+      | None ->
+          if got_trunc = ref_trunc then Pass
+          else
+            failf "search-differential: truncated %b, reference %b on %s"
+              got_trunc ref_trunc (describe ()))
+  | Ok a, Ok b ->
+      let rec first i = function
+        | x :: xs, y :: ys -> if x = y then first (i + 1) (xs, ys) else i
+        | _ -> i
+      in
+      failf
+        "search-differential: %d sketches, reference %d, first difference at \
+         %d on %s"
+        (List.length a) (List.length b) (first 0 (a, b)) (describe ())
+  | Error e, Ok _ ->
+      failf "search-differential: search raises %s on %s" e (describe ())
+  | Ok _, Error e ->
+      failf "search-differential: reference raises %s on %s" e (describe ())
+  | Error e, Error e' ->
+      failf "search-differential: search raises %s, reference %s on %s" e e'
+        (describe ())
+
+(* ------------------------------------------------------------------ *)
 
 let all =
   [
@@ -1177,6 +1317,8 @@ let all =
     { name = "lower-replay"; heavy = false; check = prop_lower_replay };
     { name = "oracle"; heavy = true; check = prop_oracle };
     { name = "synth-history"; heavy = true; check = prop_synth_history };
+    { name = "search-differential"; heavy = false;
+      check = prop_search_differential };
   ]
 
 let names = List.map (fun p -> p.name) all

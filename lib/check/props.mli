@@ -75,7 +75,17 @@ val all : prop list
       schedules again after {!Syccl.Synthesizer.reset_caches} and 1–3
       other requests (its kind at another size in its power-of-two
       bucket, another kind at its size, itself on a second generator
-      topology of the same family name and GPU count). *)
+      topology of the same family name and GPU count — preferably of
+      another shape: {!Gen.reshape}'s, else a drawn one);
+    - [search-differential]: {!Syccl.Search.run} returns the sketch list
+      of the retired search {!Search_ref.run}, structurally equal and in
+      the same order, and the same truncation flag, on healthy and
+      punctured generator topologies, both kinds, any root, and random
+      configurations (each pruning on or off, relay limit none, 1 or 2,
+      small emission caps and node budgets, sometimes an expired
+      deadline); every returned sketch's {!Syccl.Sketch.signature} and
+      {!Syccl.Sketch.structural_labels} (of the sketch and of a prefix of
+      its stages) equal the reference's list-built values. *)
 
 val names : string list
 val find : string -> prop option

@@ -72,13 +72,38 @@ val structural_labels :
     group memberships.  Uncovered GPUs (stage −1, not the root) get label 0.
     Shared by {!signature} and the search's partial-state deduplication. *)
 
-val hash_ints : int list -> int
-(** Chain-hash of every element ([Hashtbl.hash] alone only visits a bounded
-    prefix of a structure). *)
-
 val signature : Syccl_topology.Topology.t -> t -> int
 (** Isomorphism-invariant hash (pruning #1, §4.1): sketches related by a
     structure-preserving GPU permutation share a signature. *)
+
+type fingerprints
+(** Reusable int buffers for one topology's labels and signatures, for a
+    caller that fingerprints many trees over the same topology (the
+    search).  Not safe to share between concurrent callers. *)
+
+val fingerprints : Syccl_topology.Topology.t -> fingerprints
+
+val label_multiset :
+  fingerprints ->
+  root:int ->
+  stage_of:int array ->
+  parent:int array ->
+  dim_of:int array ->
+  int
+(** Chain hash of the ascending multiset of {!structural_labels} of a
+    (possibly partial) tree: the search's partial-state fingerprint. *)
+
+val signature_of :
+  fingerprints ->
+  kind:kind ->
+  num_stages:int ->
+  root:int ->
+  stage_of:int array ->
+  parent:int array ->
+  dim_of:int array ->
+  int
+(** {!signature} of the complete tree these arrays describe, without
+    building the sketch. *)
 
 val map : Syccl_topology.Topology.t -> Syccl_util.Perm.t -> t -> t
 (** Relabel through a topology automorphism (replication, §4.2–4.3).

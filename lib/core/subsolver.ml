@@ -138,6 +138,17 @@ let plan topo coll (combo : Combine.combo) =
 
 let size_key s = Printf.sprintf "%.6e" s
 
+(* A demand's canonical intra-group positions: its group's members, each
+   member's position, each position's canonical rank and the positions in
+   canonical order, plus each entry's size key (entry order). *)
+type canon = {
+  members : int array;
+  pos_of : (int, int) Hashtbl.t;
+  rank : int array;
+  order : int array;
+  size_keys : string array;
+}
+
 (* Canonical intra-group position order: positions sorted by their multiset
    of roles across entries (1 round of refinement), ties by raw position.
    Good enough to align symmetric demands; a failed alignment is caught by
@@ -147,6 +158,15 @@ let canonical_positions topo demand =
   let np = Array.length members in
   let pos_of = Hashtbl.create np in
   Array.iteri (fun i v -> Hashtbl.replace pos_of v i) members;
+  (* Each entry with its size key and endpoint counts, computed once. *)
+  let size_keys =
+    Array.of_list (List.map (fun e -> size_key e.e_size) demand.entries)
+  in
+  let entries =
+    List.mapi
+      (fun i e -> (e, size_keys.(i), List.length e.e_srcs, List.length e.e_dsts))
+      demand.entries
+  in
   let role p =
     let v = members.(p) in
     (* Refine positions by their fault adjacency first: a member sitting
@@ -168,12 +188,10 @@ let canonical_positions topo demand =
     ( fault_sig,
       List.sort compare
         (List.filter_map
-           (fun e ->
+           (fun (e, sk, nsrc, ndst) ->
              let s = List.mem v e.e_srcs and d = List.mem v e.e_dsts in
-             if s || d then
-               Some (size_key e.e_size, s, d, List.length e.e_srcs, List.length e.e_dsts)
-             else None)
-           demand.entries) )
+             if s || d then Some (sk, s, d, nsrc, ndst) else None)
+           entries) )
   in
   let order = Array.init np (fun i -> i) in
   let roles = Array.init np role in
@@ -184,17 +202,20 @@ let canonical_positions topo demand =
   (* rank.(p) = canonical index of position p *)
   let rank = Array.make np 0 in
   Array.iteri (fun i p -> rank.(p) <- i) order;
-  (members, pos_of, rank, order)
+  { members; pos_of; rank; order; size_keys }
+
+(* Entry [i]'s canonical key under [c]: size, canonical source and
+   destination ranks. *)
+let entry_key c i e =
+  let canon v = c.rank.(Hashtbl.find c.pos_of v) in
+  ( c.size_keys.(i),
+    List.sort compare (List.map canon e.e_srcs),
+    List.sort compare (List.map canon e.e_dsts) )
 
 let class_key topo demand =
-  let members, pos_of, rank, _ = canonical_positions topo demand in
-  let canon_gpu v = rank.(Hashtbl.find pos_of v) in
-  let entry_key e =
-    ( size_key e.e_size,
-      List.sort compare (List.map canon_gpu e.e_srcs),
-      List.sort compare (List.map canon_gpu e.e_dsts) )
-  in
-  let keys = List.sort compare (List.map entry_key demand.entries) in
+  let c = canonical_positions topo demand in
+  let members = c.members and rank = c.rank in
+  let keys = List.sort compare (List.mapi (entry_key c) demand.entries) in
   (* Canonical dead-edge set within the group: demands over groups with
      different fault patterns must land in different isomorphism classes
      (empty, hence key-neutral, on healthy topologies). *)
@@ -514,7 +535,17 @@ let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool ?cache
 
 (* --- Mapping representatives onto isomorphic demands ------------------ *)
 
-let transfer topo ~rep ~rep_xfers demand =
+(* Staged on the representative: applied to [~rep ~rep_xfers], it computes
+   the representative's canonical positions and keyed entries once, for
+   every member of its class. *)
+let transfer topo ~rep ~rep_xfers =
+  let rep_canon = canonical_positions topo rep in
+  (* Entry correspondence: both entry lists sorted by canonical key. *)
+  let entry_keyed c d =
+    List.sort compare (List.mapi (fun i e -> (entry_key c i e, i)) d.entries)
+  in
+  let rep_entries = entry_keyed rep_canon rep in
+  fun demand ->
   if
     rep.d_dim = demand.d_dim && rep.d_group = demand.d_group
     && rep.entries = demand.entries
@@ -528,28 +559,14 @@ let transfer topo ~rep ~rep_xfers demand =
        rep's xfers carry its own dim. *)
     Some rep_xfers
   else
-  let rep_members, rep_pos, rep_rank, _ = canonical_positions topo rep in
-  let dem_members, dem_pos, dem_rank, dem_order =
-    canonical_positions topo demand
-  in
-  if Array.length rep_members <> Array.length dem_members then None
+  let dem = canonical_positions topo demand in
+  if Array.length rep_canon.members <> Array.length dem.members then None
   else
   (* rep GPU -> canonical rank -> demand GPU. *)
-  let gpu_map v = dem_members.(dem_order.(rep_rank.(Hashtbl.find rep_pos v))) in
-  (* Entry correspondence: sort both entry lists by canonical key. *)
-  let entry_keyed d rank_of pos_of =
-    List.mapi
-      (fun i e ->
-        let canon v = rank_of.(Hashtbl.find pos_of v) in
-        ( ( size_key e.e_size,
-            List.sort compare (List.map canon e.e_srcs),
-            List.sort compare (List.map canon e.e_dsts) ),
-          i ))
-      d.entries
-    |> List.sort compare
+  let gpu_map v =
+    dem.members.(dem.order.(rep_canon.rank.(Hashtbl.find rep_canon.pos_of v)))
   in
-  let rep_entries = entry_keyed rep rep_rank rep_pos in
-  let dem_entries = entry_keyed demand dem_rank dem_pos in
+  let dem_entries = entry_keyed dem demand in
   if List.map fst rep_entries <> List.map fst dem_entries then None
   else begin
     let chunk_map = Hashtbl.create 16 in
@@ -577,9 +594,9 @@ let transfer topo ~rep ~rep_xfers demand =
 
 let assemble plan ~solution =
   let xfers =
-    List.concat_map
-      (fun d ->
-        let local = solution d in
+    List.mapi
+      (fun i d ->
+        let local = solution i d in
         let entry_arr = Array.of_list d.entries in
         List.map
           (fun (x : Schedule.xfer) ->
@@ -591,4 +608,4 @@ let assemble plan ~solution =
           local)
       plan.demands
   in
-  { Schedule.chunks = plan.chunks; xfers }
+  { Schedule.chunks = plan.chunks; xfers = List.concat xfers }

@@ -83,12 +83,15 @@ val transfer :
     same group of the same dimension and have structurally equal entries
     the mapping is the identity and the (simulation-based) verification is
     skipped; equal entries under a different dim/group take the general,
-    verified path. *)
+    verified path.  Staged: [transfer topo ~rep ~rep_xfers] computes the
+    representative's canonical positions once, for every member of its
+    class. *)
 
 val assemble :
   plan ->
-  solution:(demand -> Syccl_sim.Schedule.xfer list) ->
+  solution:(int -> demand -> Syccl_sim.Schedule.xfer list) ->
   Syccl_sim.Schedule.t
 (** Stitch per-demand solutions (local chunk ids) into the full schedule:
     chunk ids are globalized, priorities offset by stage so cross-stage
-    pipelining is decided by data dependencies (Fig. 12b). *)
+    pipelining is decided by data dependencies (Fig. 12b).  [solution i d]
+    solves [d], the [i]-th of [plan.demands]. *)

@@ -127,14 +127,23 @@ type memo = {
 let c_memo_hits = Counters.int_counter "cache.subsolve.hits"
 let c_memo_misses = Counters.int_counter "cache.subsolve.misses"
 
+(* A plan with its demands' isomorphism-class keys, in demand order:
+   computed once per phase and read by both steps' solves and assemblies. *)
+type keyed_plan = { plan : Subsolver.plan; keys : string array }
+
+let key_plan topo (plan : Subsolver.plan) =
+  {
+    plan;
+    keys = Array.of_list (List.map (Subsolver.class_key topo) plan.Subsolver.demands);
+  }
+
 (* Solve representatives of every isomorphism class appearing in [plans]
    that the memo does not hold yet, in parallel on the pool, and return a
-   per-demand solution function.  The memo is consulted sequentially before
-   dispatch and filled after every solve returns, so which classes hit —
-   and hence the produced schedules — cannot depend on pool size or
-   scheduling. *)
-let solve_plans ~pool ~memo ~budget ?warm strategy topo
-    (plans : Subsolver.plan list) =
+   solution function of a demand's class key and the demand.  The memo is
+   consulted sequentially before dispatch and filled after every solve
+   returns, so which classes hit — and hence the produced schedules —
+   cannot depend on pool size or scheduling. *)
+let solve_plans ~pool ~memo ~budget ?warm strategy topo (plans : keyed_plan list) =
   (* Warm-basis handoff between same-class MILP solves within this call
      (first-writer-wins keys scoped by class, see Subsolver.solve_demand);
      one cache per call so sweeps and repeated synthesize runs start from
@@ -144,12 +153,12 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo
   in
   let classes = Hashtbl.create 64 in
   List.iter
-    (fun (p : Subsolver.plan) ->
-      List.iter
-        (fun d ->
-          let key = Subsolver.class_key topo d in
+    (fun kp ->
+      List.iteri
+        (fun i d ->
+          let key = kp.keys.(i) in
           if not (Hashtbl.mem classes key) then Hashtbl.replace classes key d)
-        p.Subsolver.demands)
+        kp.plan.Subsolver.demands)
     plans;
   let keys = Array.of_seq (Hashtbl.to_seq_keys classes) in
   let reps = Array.map (Hashtbl.find classes) keys in
@@ -181,7 +190,7 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo
     Pool.map pool
       (fun i ->
         let rep = reps.(i) in
-        let w = match warm with None -> None | Some f -> f rep in
+        let w = match warm with None -> None | Some f -> f keys.(i) rep in
         (* Each solve gets a detached view of the element's budget (same
            deadline, own degradation mark) so we can tell, per class, whether
            the deadline forced a degraded solution. *)
@@ -204,19 +213,27 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo
       if not was_degraded then
         Hashtbl.replace memo.classes (strategy, keys.(i)) (reps.(i), xfers))
     todo;
+  (* Each class's transfer, staged on its representative here, before the
+     assemblies share the table across the pool. *)
   let table = Hashtbl.create (Array.length keys) in
-  Array.iteri (fun i k -> Hashtbl.replace table k (Option.get sols.(i))) keys;
-  fun (d : Subsolver.demand) ->
-    let key = Subsolver.class_key topo d in
+  Array.iteri
+    (fun i k ->
+      let rep, rep_xfers = Option.get sols.(i) in
+      Hashtbl.replace table k (Subsolver.transfer topo ~rep ~rep_xfers))
+    keys;
+  fun key (d : Subsolver.demand) ->
     match Hashtbl.find_opt table key with
-    | Some (rep, rep_xfers) -> (
-        match Subsolver.transfer topo ~rep ~rep_xfers d with
-        | Some xfers ->
-            xfers
+    | Some map -> (
+        match map d with
+        | Some xfers -> xfers
         | None ->
             Subsolver.solve_demand ~budget ~pool ~cache:milp_warm strategy
               topo d)
     | None -> Subsolver.solve_demand ~budget ~pool ~cache:milp_warm strategy topo d
+
+(* A keyed plan's schedule under a solution function of [solve_plans]. *)
+let assemble kp ~solution =
+  Subsolver.assemble kp.plan ~solution:(fun i d -> solution kp.keys.(i) d)
 
 let strategy_of cfg ~e =
   if cfg.fast_only then Subsolver.Fast_only
@@ -477,6 +494,7 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
                 time_limit = Float.min 2.0 cfg.milp_time_limit;
               }
         in
+        let plans = List.map (fun (c, p) -> (c, key_plan topo p)) plans in
         let solution =
           solve_plans ~pool ~memo ~budget strategy topo (List.map snd plans)
         in
@@ -488,7 +506,7 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
         ( Array.to_list
             (Pool.map pool
                (fun (c, p) ->
-                 let s = Subsolver.assemble p ~solution in
+                 let s = assemble p ~solution in
                  let s = if mirrored then mirror s else s in
                  (c, p, s, Sim.time ~blocks:screen_blocks topo s))
                (Array.of_list plans)),
@@ -530,13 +548,13 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
              demand (step 1's class table is read-only by now). *)
           let solution =
             solve_plans ~pool ~memo ~budget
-              ~warm:(fun d -> Some (solution1 d))
+              ~warm:(fun key d -> Some (solution1 key d))
               strategy topo
               (List.map (fun (_, p, _, _) -> p) survivors)
           in
           List.map
             (fun (c, p, s1, _) ->
-              let s2 = Subsolver.assemble p ~solution in
+              let s2 = assemble p ~solution in
               let s2 = if mirrored then mirror s2 else s2 in
               let t1 = Sim.time ~blocks:(fidelity_blocks s1) topo s1 in
               let t2 = Sim.time ~blocks:(fidelity_blocks s2) topo s2 in

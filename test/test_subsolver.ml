@@ -118,7 +118,7 @@ let test_assemble_validates () =
   let plan = Subsolver.plan topo coll combo in
   let s =
     Subsolver.assemble plan
-      ~solution:(Subsolver.solve_demand Subsolver.Fast_only topo)
+      ~solution:(fun _ -> Subsolver.solve_demand Subsolver.Fast_only topo)
   in
   match Validate.covers topo coll s with
   | Ok () -> ()
@@ -133,7 +133,7 @@ let test_scatter_plan_routes_chunks () =
   check Alcotest.int "chunks" 240 (Array.length plan.Subsolver.chunks);
   let s =
     Subsolver.assemble plan
-      ~solution:(Subsolver.solve_demand Subsolver.Fast_only topo)
+      ~solution:(fun _ -> Subsolver.solve_demand Subsolver.Fast_only topo)
   in
   match Validate.covers topo coll s with
   | Ok () -> ()
