@@ -512,12 +512,13 @@ let write_bench_json path json =
 (* A/B the two LP engines behind branch-and-bound on the models SyCCL
    actually solves: one merged sub-demand per GPU group (whole-collective
    epoch models blow the solver's variable guard long before 16 GPUs,
-   which is exactly why the paper decomposes by group).  Every group of a
-   dimension is isomorphic, so the sibling models share their shape — the
-   revised engine additionally gets the warm-start basis cache and the
-   worker pool, matching how the synthesizer drives it; the dense engine
-   runs every model cold, which is all a one-shot tableau can do.  Two
-   demand shapes per group cover both halves of the solver:
+   which is exactly why the paper decomposes by group).  The revised
+   engine runs as production does — every model's root relaxation cold,
+   each branch-and-bound child warm-started from its parent's basis, node
+   waves on the worker pool; the dense engine comes in through
+   [~relax:Lp_dense.relax] and starts every node cold, which is all a
+   one-shot tableau can do.  Two demand shapes per group cover both
+   halves of the solver:
 
    - "bcast" (4 single-source chunks, tree incumbents) certifies at the
      root via the flow/growth bound, so it measures pure root-relaxation
@@ -599,8 +600,6 @@ let milp_group_spec topo ~dim ~group ~nchunks ~size =
 let bench_milp () =
   Printf.printf
     "\n== bench milp: dense tableau vs revised sparse simplex ==\n";
-  let module Milp = Syccl_milp.Milp in
-  let module Cache = Syccl_util.Cache in
   let module Pool = Syccl_util.Pool in
   let module Json = Syccl_util.Json in
   let gpu_counts = if !full then [ 16; 32; 64 ] else [ 16; 32 ] in
@@ -628,12 +627,12 @@ let bench_milp () =
               ])
             (List.init ngroups Fun.id)
         in
-        let solve_all engine ?pool ?cache () =
+        let solve_all ?pool ?relax () =
           List.map
             (fun (spec, inc) ->
               match
-                EM.solve ~node_limit:10_000 ~time_limit:600.0 ~engine ?pool
-                  ?cache ~cache_tag:"bench" ~incumbent:inc spec
+                EM.solve ~node_limit:10_000 ~time_limit:600.0 ?pool ?relax
+                  ~incumbent:inc spec
               with
               | Some (_, epochs) -> epochs
               | None -> failwith "bench milp: solver returned no schedule")
@@ -644,14 +643,15 @@ let bench_milp () =
           let objs = f () in
           (objs, Unix.gettimeofday () -. t0)
         in
-        let dense_objs, dense_s = timed (solve_all Milp.Dense) in
+        let dense_objs, dense_s =
+          timed (solve_all ~relax:Syccl_check.Lp_dense.relax)
+        in
         let n0 = Counters.value "milp.nodes" in
         let wh0 = Counters.value "lp.warm_hits" in
         let wm0 = Counters.value "lp.warm_misses" in
         let fc0 = Counters.value "milp.flow_certified" in
-        let cache = Cache.create ~capacity:64 ~name:"cache.bench_milp" () in
         let pool = Pool.get (min 4 (Pool.num_recommended ())) in
-        let rev_objs, rev_s = timed (solve_all Milp.Revised ~pool ~cache) in
+        let rev_objs, rev_s = timed (solve_all ~pool) in
         if rev_objs <> dense_objs then
           failwith
             (Printf.sprintf

@@ -51,7 +51,7 @@ let faults_arg =
           "Puncture the topology before synthesizing: a comma-joined \
            canonical fault set of $(b,gpu:G) (GPU down), $(b,link:D:A-B) \
            (the dimension-D edge between GPUs A and B down, A < B) and \
-           $(b,nic:G\\@P) (GPU G's port-group-P NIC down) elements.  The \
+           $(b,nic:G@P) (GPU G's port-group-P NIC down) elements.  The \
            schedule is synthesized on — and validated against — the \
            surviving hardware; registry entries and audit records key the \
            fault class apart from the healthy topology.")

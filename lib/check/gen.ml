@@ -210,15 +210,15 @@ let mutate rng topo kind (s : Schedule.t) =
 (* Small random LPs for the dense-vs-revised simplex differential: few
    variables, small integer and half-integer coefficients (degenerate ties
    and exact arithmetic on purpose), mostly-Le rows with occasional Ge/Eq,
-   and right-hand sides that keep a fair share of the problems feasible. *)
-let lp rng =
-  let num_vars = 1 + X.int rng 6 in
+   and right-hand sides that keep a fair share of the problems feasible.
+   [lp_over] draws the objective and fewer than [max_rows] rows. *)
+let lp_over rng ~num_vars ~max_rows =
   let coef () =
     let v = Float.of_int (X.int rng 9 - 4) in
     if X.bool rng then v else v /. 2.0
   in
   let objective = Array.init num_vars (fun _ -> coef ()) in
-  let num_rows = X.int rng 9 in
+  let num_rows = X.int rng max_rows in
   let rows =
     List.init num_rows (fun _ ->
         let nterms = 1 + X.int rng num_vars in
@@ -239,3 +239,15 @@ let lp rng =
     |> List.filter (fun (terms, _, _) -> terms <> [])
   in
   { Syccl_milp.Lp.num_vars; objective; rows }
+
+let lp rng = lp_over rng ~num_vars:(1 + X.int rng 6) ~max_rows:9
+
+let milp rng =
+  let num_vars = 1 + X.int rng 6 in
+  let vars =
+    Array.init num_vars (fun _ ->
+        let lb = Float.of_int (X.int rng 3) in
+        let ub = lb +. Float.of_int (X.int rng 5) +. if X.bool rng then 0.0 else 0.5 in
+        (lb, ub, X.bool rng))
+  in
+  (lp_over rng ~num_vars ~max_rows:6, vars)

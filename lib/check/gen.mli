@@ -62,3 +62,10 @@ val lp : Syccl_util.Xrand.t -> Syccl_milp.Lp.problem
 (** Small LPs with integer/half-integer coefficients (exact float
     arithmetic, deliberate degeneracy) for differential testing of the
     revised simplex against the retired dense tableau. *)
+
+val milp :
+  Syccl_util.Xrand.t -> Syccl_milp.Lp.problem * (float * float * bool) array
+(** Small bounded MILPs for differential testing of branch-and-bound over
+    both LP engines: an objective and at most 5 Le/Ge/Eq rows in {!lp}'s
+    vocabulary over at most 6 variables, each with its [(lb, ub,
+    integer)]: lb an integer in [\[0, 2\]], ub at most 4.5 above it. *)

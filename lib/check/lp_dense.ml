@@ -1,7 +1,10 @@
 (* The pre-rewrite dense two-phase primal simplex, preserved as the
    differential oracle for the revised solver (see lp_dense.mli).  The code
    is intentionally untouched apart from operating on Lp's problem/result
-   types and reporting into its own histogram. *)
+   types, reporting into its own histogram and rejecting malformed problems
+   with [Invalid_argument]. *)
+
+module Lp = Syccl_milp.Lp
 
 let eps = 1e-9
 
@@ -115,7 +118,8 @@ let h_pivots = Syccl_util.Counters.histogram "lp_dense.pivots_per_solve"
 
 let solve ?max_iters ?(budget = Syccl_util.Budget.unlimited)
     { Lp.num_vars; objective; rows } =
-  assert (Array.length objective = num_vars);
+  if Array.length objective <> num_vars then
+    invalid_arg "Lp_dense.solve: objective length mismatch";
   let pivots = ref 0 in
   let rows = Array.of_list rows in
   let m = Array.length rows in
@@ -154,7 +158,8 @@ let solve ?max_iters ?(budget = Syccl_util.Budget.unlimited)
     (fun i (terms, cmp, b) ->
       List.iter
         (fun (j, v) ->
-          assert (j >= 0 && j < num_vars);
+          if j < 0 || j >= num_vars then
+            invalid_arg "Lp_dense.solve: variable index out of range";
           tab.(i).(j) <- tab.(i).(j) +. v)
         terms;
       tab.(i).(cols) <- b;
@@ -255,3 +260,14 @@ let solve ?max_iters ?(budget = Syccl_util.Budget.unlimited)
   in
   Syccl_util.Counters.record h_pivots (float_of_int !pivots);
   result
+
+let relax ?max_iters ?budget ?warm:_ ~lb ~ub (p : Lp.problem) =
+  let bound_rows =
+    List.concat
+      (List.init p.num_vars (fun j ->
+           if lb.(j) < 0.0 then
+             invalid_arg "Lp_dense.relax: negative lower bound unsupported";
+           (if lb.(j) > 0.0 then [ ([ (j, 1.0) ], Lp.Ge, lb.(j)) ] else [])
+           @ if ub.(j) < infinity then [ ([ (j, 1.0) ], Lp.Le, ub.(j)) ] else []))
+  in
+  (solve ?max_iters ?budget { p with rows = p.rows @ bound_rows }, None)

@@ -829,7 +829,7 @@ let prop_synth_history ctx =
    constraints it claims to. *)
 
 module Lp = Syccl_milp.Lp
-module Lp_dense = Syccl_milp.Lp_dense
+module Milp = Syccl_milp.Milp
 
 let pp_lp (p : Lp.problem) =
   let b = Buffer.create 128 in
@@ -866,21 +866,20 @@ let lp_point_feasible (p : Lp.problem) x =
          | Lp.Eq -> Float.abs (lhs -. rhs) <= 1e-6)
        p.rows
 
+(* Absolute-or-relative: optima at exactly 0.0 vs one rounding ulp away
+   must not count as a divergence. *)
+let obj_close a b =
+  Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.max (Float.abs a) (Float.abs b))
+
 let prop_lp_differential ctx =
   let p = Gen.lp ctx.rng in
   match (Lp_dense.solve p, Lp.solve p) with
   | Lp.Iter_limit, _ | _, Lp.Iter_limit -> Skip "iteration limit"
   | Lp.Optimal { obj = da; _ }, Lp.Optimal { obj = ra; x } ->
-      (* Absolute-or-relative: optima at exactly 0.0 vs one rounding ulp
-         away must not count as a divergence. *)
-      let close a b =
-        Float.abs (a -. b)
-        <= 1e-6 *. (1.0 +. Float.max (Float.abs a) (Float.abs b))
-      in
       if not (lp_point_feasible p x) then
         failf "lp-differential: revised optimum violates constraints\n%s"
           (pp_lp p)
-      else if not (close da ra) then
+      else if not (obj_close da ra) then
         failf "lp-differential: objectives differ: dense %.9g, revised %.9g\n%s"
           da ra (pp_lp p)
       else Pass
@@ -888,6 +887,65 @@ let prop_lp_differential ctx =
   | dense, revised ->
       failf "lp-differential: status disagrees: dense %s, revised %s\n%s"
         (lp_status dense) (lp_status revised) (pp_lp p)
+
+let milp_status = function
+  | Milp.Optimal -> "optimal"
+  | Milp.Feasible -> "feasible"
+  | Milp.Infeasible -> "infeasible"
+  | Milp.Unbounded -> "unbounded"
+  | Milp.Limit -> "limit"
+
+(* Branch-and-bound over either LP engine on random small bounded MILPs:
+   the default revised simplex (children warm-started from their parent's
+   basis) and the dense tableau through {!Lp_dense.relax} (bounds as rows,
+   every node cold) must agree on status and, when optimal, on the
+   objective within 1e-6, with both points feasible for the model. *)
+let prop_milp_differential ctx =
+  let p, vars = Gen.milp ctx.rng in
+  let m = Milp.create () in
+  Array.iteri
+    (fun j (lb, ub, integer) ->
+      ignore
+        (Milp.add_var m ~lb ~ub ~integer ~obj:p.Lp.objective.(j)
+           (Printf.sprintf "x%d" j)))
+    vars;
+  List.iter
+    (fun (terms, cmp, rhs) ->
+      match (cmp : Lp.cmp) with
+      | Lp.Le -> Milp.add_le m terms rhs
+      | Lp.Ge -> Milp.add_ge m terms rhs
+      | Lp.Eq -> Milp.add_eq m terms rhs)
+    p.rows;
+  let witness () =
+    String.concat ""
+      (Array.to_list
+         (Array.mapi
+            (fun j (lb, ub, integer) ->
+              Printf.sprintf "%g <= x%d <= %g%s\n" lb j ub
+                (if integer then " integer" else ""))
+            vars))
+    ^ pp_lp p
+  in
+  let r = Milp.solve m and d = Milp.solve ~relax:Lp_dense.relax m in
+  match (r.Milp.status, d.Milp.status) with
+  | (Milp.Limit | Milp.Feasible), _ | _, (Milp.Limit | Milp.Feasible) ->
+      (* A few bounded variables close far inside the default node and
+         pivot limits: a limit here is a search that does not progress. *)
+      failf "milp-differential: hit a search limit: revised %s, dense %s\n%s"
+        (milp_status r.Milp.status) (milp_status d.Milp.status) (witness ())
+  | rs, ds when rs <> ds ->
+      failf "milp-differential: status disagrees: revised %s, dense %s\n%s"
+        (milp_status rs) (milp_status ds) (witness ())
+  | Milp.Optimal, _ ->
+      if not (Milp.check_feasible m r.Milp.x) then
+        failf "milp-differential: revised optimum is infeasible\n%s" (witness ())
+      else if not (Milp.check_feasible m d.Milp.x) then
+        failf "milp-differential: dense optimum is infeasible\n%s" (witness ())
+      else if not (obj_close r.Milp.obj d.Milp.obj) then
+        failf "milp-differential: objectives differ: revised %.9g, dense %.9g\n%s"
+          r.Milp.obj d.Milp.obj (witness ())
+      else Pass
+  | _ -> Pass
 
 (* ------------------------------------------------------------------ *)
 (* simulator differential: the production kernel (flat per-block arrays,
@@ -1309,6 +1367,7 @@ let all =
     { name = "registry-memo"; heavy = true; check = prop_registry_memo };
     { name = "size-bucket"; heavy = false; check = prop_size_bucket };
     { name = "lp-differential"; heavy = false; check = prop_lp_differential };
+    { name = "milp-differential"; heavy = false; check = prop_milp_differential };
     { name = "sim-differential"; heavy = false; check = prop_sim_differential };
     { name = "sim-port-bound"; heavy = false; check = prop_sim_port_bound };
     { name = "degraded-validity"; heavy = true; check = prop_degraded_validity };

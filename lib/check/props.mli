@@ -51,6 +51,15 @@ val all : prop list
       cost and fidelity, bit-equal time, structurally equal schedules;
     - [size-bucket]: {!Syccl_serve.Registry.size_bucket} is the exact
       power-of-two floor;
+    - [lp-differential]: the revised simplex {!Syccl_milp.Lp.solve}
+      agrees with the retired dense tableau {!Lp_dense.solve} on random
+      small LPs: same status, optimal objectives within 1e-6, and the
+      revised optimum satisfies every row;
+    - [milp-differential]: {!Syccl_milp.Milp.solve} over its default LP
+      and over {!Lp_dense.relax} agree on random small bounded MILPs
+      (at most 6 integer or continuous variables, 5 Le/Ge/Eq rows): same
+      status, optimal objectives within 1e-6, and both points pass
+      {!Syccl_milp.Milp.check_feasible};
     - [sim-differential]: {!Syccl_sim.Sim.run} agrees bit for bit with
       the retired event loop {!Sim_ref.run} (time, events, every transfer
       finish, or the same exception) on generator schedules and mutants at

@@ -353,8 +353,8 @@ let estimated_milp_s () =
   in
   Float.max 0.01 est
 
-let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool ?cache
-    strategy topo demand =
+let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool strategy
+    topo demand =
   Syccl_util.Trace.with_span ~cat:"subsolve" "subsolver.solve_demand"
     ~args:
       [
@@ -504,20 +504,16 @@ let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool ?cache
               greedy
             end
             else begin
-              (* Scope warm-basis sharing to this demand's isomorphism
-                 class: representatives of distinct classes write distinct
-                 keys even when their models coincidentally have the same
-                 shape, which keeps concurrent class solves deterministic
-                 (see Epoch_model.solve). *)
-              let cache_tag =
-                match cache with
-                | None -> None
-                | Some _ -> Some (class_key topo demand)
-              in
-              match
+              let solved =
                 Epoch_model.solve ~node_limit ~time_limit ~budget ?pool
-                  ?cache ?cache_tag ~incumbent:greedy spec
-              with
+                  ~incumbent:greedy spec
+              in
+              (* A refinement that returns past the deadline may have been
+                 cut short by it: what it found depends on where the
+                 deadline fell, so the result must not be memoized or
+                 stored as a full-pipeline one. *)
+              if Syccl_util.Budget.expired budget then skip "milp_cut";
+              match solved with
               | Some (s, _) ->
                   if
                     Syccl_sim.Sim.time topo s

@@ -50,7 +50,6 @@ val solve_demand :
   ?warm:Syccl_sim.Schedule.xfer list ->
   ?budget:Syccl_util.Budget.t ->
   ?pool:Syccl_util.Pool.t ->
-  ?cache:(string, Syccl_milp.Lp.basis_state) Syccl_util.Cache.t ->
   strategy ->
   Syccl_topology.Topology.t ->
   demand ->
@@ -59,18 +58,18 @@ val solve_demand :
     [warm], if given and valid for the demand, competes with the greedy
     incumbent before MILP refinement (the fine step warm-starts from the
     coarse step's solution this way).  [pool] parallelizes MILP node waves
-    and [cache] carries warm-start bases across the sketch family's
-    same-shaped sibling demands (both forwarded to
-    {!Syccl_teccl.Epoch_model.solve}); pass one cache per sequential solve
-    sequence — it is not safe to share across concurrent solves.
+    (forwarded to {!Syccl_teccl.Epoch_model.solve}).  Each MILP starts
+    from a cold root relaxation: the caller solves one representative per
+    isomorphism class, so no same-shaped sibling solve precedes it.
 
     Deadline behaviour: an already-expired [budget] returns the (valid,
     unoptimized) direct candidate immediately; MILP refinement is skipped
     when the remaining budget is below the estimated solve time (p90 of
-    the process-wide ["milp.solve_s"] history).  Every budget-forced
-    shortcut bumps ["subsolve.budget_skips"] and marks the budget degraded
-    ({!Syccl_util.Budget.mark_degraded}).  The ["subsolver.crash"]
-    {!Syccl_util.Faultpoint} probe fires at entry. *)
+    the process-wide ["milp.solve_s"] history), and a refinement that
+    returns with the budget expired counts as cut short by it.  Every
+    budget-forced shortcut bumps ["subsolve.budget_skips"] and marks the
+    budget degraded ({!Syccl_util.Budget.mark_degraded}).  The
+    ["subsolver.crash"] {!Syccl_util.Faultpoint} probe fires at entry. *)
 
 val transfer :
   Syccl_topology.Topology.t ->

@@ -144,13 +144,6 @@ let key_plan topo (plan : Subsolver.plan) =
    returns, so which classes hit — and hence the produced schedules —
    cannot depend on pool size or scheduling. *)
 let solve_plans ~pool ~memo ~budget ?warm strategy topo (plans : keyed_plan list) =
-  (* Warm-basis handoff between same-class MILP solves within this call
-     (first-writer-wins keys scoped by class, see Subsolver.solve_demand);
-     one cache per call so sweeps and repeated synthesize runs start from
-     the same (empty) state and stay reproducible. *)
-  let milp_warm : (string, Syccl_milp.Lp.basis_state) Cache.t =
-    Cache.create ~capacity:64 ~name:"cache.milp_warm" ()
-  in
   let classes = Hashtbl.create 64 in
   List.iter
     (fun kp ->
@@ -196,8 +189,7 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo (plans : keyed_plan list
            the deadline forced a degraded solution. *)
         let b = Budget.detach budget in
         let xfers =
-          Subsolver.solve_demand ?warm:w ~budget:b ~pool ~cache:milp_warm
-            strategy topo rep
+          Subsolver.solve_demand ?warm:w ~budget:b ~pool strategy topo rep
         in
         if Budget.degraded b then Budget.mark_degraded budget;
         (xfers, Budget.degraded b))
@@ -226,14 +218,18 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo (plans : keyed_plan list
     | Some map -> (
         match map d with
         | Some xfers -> xfers
-        | None ->
-            Subsolver.solve_demand ~budget ~pool ~cache:milp_warm strategy
-              topo d)
-    | None -> Subsolver.solve_demand ~budget ~pool ~cache:milp_warm strategy topo d
+        | None -> Subsolver.solve_demand ~budget ~pool strategy topo d)
+    | None -> Subsolver.solve_demand ~budget ~pool strategy topo d
 
-(* A keyed plan's schedule under a solution function of [solve_plans]. *)
-let assemble kp ~solution =
-  Subsolver.assemble kp.plan ~solution:(fun i d -> solution kp.keys.(i) d)
+(* A keyed plan's schedule under a solution function of [solve_plans].  On
+   a punctured topology a widened sub-solution relays through GPUs outside
+   its group, which can hold the chunk already or get it from another
+   demand; the relay then delivers it twice, which a reduce-family mirror
+   turns into a GPU sending twice.  Only widened solutions leave their
+   group, and only punctured topologies widen. *)
+let assemble topo kp ~solution =
+  let s = Subsolver.assemble kp.plan ~solution:(fun i d -> solution kp.keys.(i) d) in
+  if Fault.is_empty (Topology.faults topo) then s else Schedule.drop_redundant s
 
 let strategy_of cfg ~e =
   if cfg.fast_only then Subsolver.Fast_only
@@ -506,7 +502,7 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
         ( Array.to_list
             (Pool.map pool
                (fun (c, p) ->
-                 let s = assemble p ~solution in
+                 let s = assemble topo p ~solution in
                  let s = if mirrored then mirror s else s in
                  (c, p, s, Sim.time ~blocks:screen_blocks topo s))
                (Array.of_list plans)),
@@ -554,7 +550,7 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
           in
           List.map
             (fun (c, p, s1, _) ->
-              let s2 = assemble p ~solution in
+              let s2 = assemble topo p ~solution in
               let s2 = if mirrored then mirror s2 else s2 in
               let t1 = Sim.time ~blocks:(fidelity_blocks s1) topo s1 in
               let t2 = Sim.time ~blocks:(fidelity_blocks s2) topo s2 in

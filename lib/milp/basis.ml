@@ -21,7 +21,6 @@ let pivot_tol = 1e-9
 let drop_tol = 1e-12
 
 let head t = t.hd
-let eta_count t = t.neta
 let refactor_due t = t.neta - t.base_neta > refactor_threshold
 
 let push_eta t e =

@@ -25,8 +25,6 @@ val head : t -> int array
 (** The live row→column assignment; mutated by [update] and [reinvert].
     Do not modify externally. *)
 
-val eta_count : t -> int
-
 val refactor_due : t -> bool
 (** True when the eta file has grown past the rebuild threshold; callers
     should [reinvert] (and recompute basic values) before continuing. *)

@@ -592,6 +592,15 @@ let run_warm ~mat ~b ~lo ~hi ~obj2 ~m ~n ~ncols ~pivots ~max_iters ~budget
   end
   else raise Numerical
 
+type solver =
+  ?max_iters:int ->
+  ?budget:Syccl_util.Budget.t ->
+  ?warm:basis_state ->
+  lb:float array ->
+  ub:float array ->
+  problem ->
+  result * basis_state option
+
 let solve_bounded ?max_iters ?(budget = Syccl_util.Budget.unlimited) ?warm ~lb
     ~ub p =
   let n = p.num_vars in
@@ -599,6 +608,12 @@ let solve_bounded ?max_iters ?(budget = Syccl_util.Budget.unlimited) ?warm ~lb
     invalid_arg "Lp.solve_bounded: objective length mismatch";
   if Array.length lb <> n || Array.length ub <> n then
     invalid_arg "Lp.solve_bounded: bounds length mismatch";
+  (* Crossed bounds leave no feasible point; the simplex itself never
+     compares a variable's two bounds and would return one of them.
+     Branch-and-bound makes them when a branching bound passes the
+     variable's own (x >= 2 on an integer x <= 1.5). *)
+  if Array.exists2 (fun l u -> l > u) lb ub then (Infeasible, None)
+  else
   let mat, b, lo0, hi0, obj2, m, ncols = build ~lb ~ub p in
   let max_iters =
     match max_iters with Some v -> v | None -> max 2000 (60 * (m + ncols))

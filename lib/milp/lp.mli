@@ -56,7 +56,7 @@ val solve : ?max_iters:int -> ?budget:Syccl_util.Budget.t -> problem -> result
     [Iter_limit], so a deadline cannot be overshot by more than a handful
     of pivots. *)
 
-val solve_bounded :
+type solver =
   ?max_iters:int ->
   ?budget:Syccl_util.Budget.t ->
   ?warm:basis_state ->
@@ -64,8 +64,13 @@ val solve_bounded :
   ub:float array ->
   problem ->
   result * basis_state option
+(** The shape of {!solve_bounded}, the LP that {!Milp.solve} runs on each
+    node's relaxation. *)
+
+val solve_bounded : solver
 (** Solve with explicit per-variable bounds ([lb.(j) ≤ x.(j) ≤ ub.(j)],
     entries may be [-infinity]/[infinity]; lb must be finite or the
-    matching ub finite).  Returns the result together with the final basis
-    for warm-starting related solves ([None] when the solve ended before a
-    usable basis existed, e.g. on [Iter_limit]). *)
+    matching ub finite; [lb.(j) > ub.(j)] is [Infeasible]).  Returns the
+    result together with the final basis for warm-starting related solves
+    ([None] when the solve ended before a usable basis existed, e.g. on
+    [Iter_limit]). *)

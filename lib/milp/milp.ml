@@ -19,7 +19,6 @@ let add_var m ?(lb = 0.0) ?(ub = infinity) ?(integer = false) ?(obj = 0.0) vname
 let binary m ?obj vname = add_var m ~lb:0.0 ~ub:1.0 ~integer:true ?obj vname
 
 let num_vars m = m.nvars
-let num_rows m = List.length m.rows
 
 let add_row m terms cmp rhs = m.rows <- (terms, cmp, rhs) :: m.rows
 
@@ -29,15 +28,12 @@ let add_eq m terms rhs = add_row m terms Lp.Eq rhs
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Limit
 
-type engine = Revised | Dense
-
 type result = {
   status : status;
   x : float array;
   obj : float;
   nodes : int;
   certified : bool;
-  root_state : Lp.basis_state option;
 }
 
 let int_tol = 1e-6
@@ -95,16 +91,19 @@ let c_flow_certified = Syccl_util.Counters.int_counter "milp.flow_certified"
    the wall time of each wave. *)
 let wave_width = 8
 
-let solve ?(node_limit = 2000) ?(time_limit = infinity) ?(lp_iter_limit = 4000)
-    ?(budget = Syccl_util.Budget.unlimited) ?incumbent ?(engine = Revised)
-    ?pool ?lower_bound ?(gap = 1e-6) ?warm_state m =
+(* Simplex pivots allowed per relaxation, so a single LP cannot blow the
+   time budget between checks. *)
+let lp_iter_limit = 4000
+
+let solve ?(node_limit = 2000) ?(time_limit = infinity)
+    ?(budget = Syccl_util.Budget.unlimited) ?incumbent ?pool ?lower_bound
+    ?(gap = 1e-6) ?(relax = Lp.solve_bounded) m =
   Syccl_util.Trace.with_span ~cat:"milp" "milp.solve"
     ~args:
       [
         ("vars", string_of_int m.nvars);
         ("rows", string_of_int (List.length m.rows));
         ("node_limit", string_of_int node_limit);
-        ("engine", match engine with Revised -> "revised" | Dense -> "dense");
       ]
   @@ fun () ->
   Syccl_util.Faultpoint.slow "milp.slow";
@@ -119,46 +118,22 @@ let solve ?(node_limit = 2000) ?(time_limit = infinity) ?(lp_iter_limit = 4000)
   in
   let vs = vars_array m in
   let obj = objective m in
-  let base_rows = List.rev m.rows in
-  let base_problem = { Lp.num_vars = m.nvars; objective = obj; rows = base_rows } in
-  (* Dense oracle path: bounds and branch bounds expanded into rows, as the
-     retired solver required. *)
-  let dense_rows =
-    lazy
-      (base_rows
-      @ List.concat
-          (List.mapi
-             (fun j v ->
-               (if v.lb > 0.0 then [ ([ (j, 1.0) ], Lp.Ge, v.lb) ] else [])
-               @ if v.ub < infinity then [ ([ (j, 1.0) ], Lp.Le, v.ub) ] else [])
-             (Array.to_list vs)))
+  let base_problem =
+    { Lp.num_vars = m.nvars; objective = obj; rows = List.rev m.rows }
   in
   let lp_solve extra warm =
-    match engine with
-    | Dense ->
-        let p =
-          {
-            base_problem with
-            Lp.rows =
-              Lazy.force dense_rows
-              @ List.map (fun (j, c, b) -> ([ (j, 1.0) ], c, b)) extra;
-          }
-        in
-        (Lp_dense.solve ~max_iters:lp_iter_limit ~budget p, None)
-    | Revised ->
-        let lb = Array.map (fun v -> v.lb) vs in
-        let ub = Array.map (fun v -> v.ub) vs in
-        List.iter
-          (fun (j, c, b) ->
-            match (c : Lp.cmp) with
-            | Lp.Le -> ub.(j) <- Float.min ub.(j) b
-            | Lp.Ge -> lb.(j) <- Float.max lb.(j) b
-            | Lp.Eq ->
-                lb.(j) <- Float.max lb.(j) b;
-                ub.(j) <- Float.min ub.(j) b)
-          extra;
-        Lp.solve_bounded ~max_iters:lp_iter_limit ~budget ?warm ~lb ~ub
-          base_problem
+    let lb = Array.map (fun v -> v.lb) vs in
+    let ub = Array.map (fun v -> v.ub) vs in
+    List.iter
+      (fun (j, c, b) ->
+        match (c : Lp.cmp) with
+        | Lp.Le -> ub.(j) <- Float.min ub.(j) b
+        | Lp.Ge -> lb.(j) <- Float.max lb.(j) b
+        | Lp.Eq ->
+            lb.(j) <- Float.max lb.(j) b;
+            ub.(j) <- Float.min ub.(j) b)
+      extra;
+    relax ~max_iters:lp_iter_limit ~budget ?warm ~lb ~ub base_problem
   in
   (* Shared incumbent objective: read by the wave assembler for pruning,
      written only in the sequential post-pass, so every pool width observes
@@ -245,7 +220,7 @@ let solve ?(node_limit = 2000) ?(time_limit = infinity) ?(lp_iter_limit = 4000)
         end
   in
   let unbounded = ref false in
-  let root_result, root_state = lp_solve [] warm_state in
+  let root_result, root_state = lp_solve [] None in
   (match root_result with
   | Lp.Infeasible -> ()
   | Lp.Iter_limit -> hit_limit := true
@@ -334,5 +309,4 @@ let solve ?(node_limit = 2000) ?(time_limit = infinity) ?(lp_iter_limit = 4000)
     obj = Atomic.get best_obj;
     nodes = !nodes;
     certified = !certified;
-    root_state;
   }

@@ -29,7 +29,6 @@ val binary : model -> ?obj:float -> string -> int
 (** Shorthand for an integer variable in [\[0, 1\]]. *)
 
 val num_vars : model -> int
-val num_rows : model -> int
 
 val add_le : model -> (int * float) list -> float -> unit
 val add_ge : model -> (int * float) list -> float -> unit
@@ -38,12 +37,6 @@ val add_eq : model -> (int * float) list -> float -> unit
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Limit
 
-type engine =
-  | Revised  (** the sparse revised simplex in {!Lp} (default) *)
-  | Dense
-      (** the retired dense tableau ({!Lp_dense}), bounds expanded into
-          rows — kept for A/B benchmarking and differential testing *)
-
 type result = {
   status : status;
   x : float array;  (** best solution found (meaningless unless feasible) *)
@@ -51,30 +44,25 @@ type result = {
   nodes : int;  (** branch-and-bound nodes explored *)
   certified : bool;
       (** the incumbent met the [lower_bound + gap] early-exit certificate *)
-  root_state : Lp.basis_state option;
-      (** final basis of the root relaxation, for warm-starting sibling
-          solves on structurally identical models (Revised engine only) *)
 }
 
 val solve :
   ?node_limit:int ->
   ?time_limit:float ->
-  ?lp_iter_limit:int ->
   ?budget:Syccl_util.Budget.t ->
   ?incumbent:float array ->
-  ?engine:engine ->
   ?pool:Syccl_util.Pool.t ->
   ?lower_bound:float ->
   ?gap:float ->
-  ?warm_state:Lp.basis_state ->
+  ?relax:Lp.solver ->
   model ->
   result
 (** Minimize.  [incumbent] seeds the search with a known feasible point
     (checked; ignored if it violates constraints).  [Feasible] means the
     node or time budget expired with an incumbent in hand whose optimality
     was not proven; [Limit] means the budget expired with no solution.
-    [lp_iter_limit] (default 4000) bounds simplex pivots per LP so a single
-    relaxation cannot blow the time budget between checks.  [time_limit]
+    Each relaxation may take at most 4000 simplex pivots, so a single LP
+    cannot blow the time budget between checks.  [time_limit]
     and [budget] share one deadline: the limit narrows the budget, and the
     combined deadline is checked both between branch-and-bound waves and —
     via {!Lp}'s pivot loop — between simplex pivots, so an expiring or
@@ -89,11 +77,13 @@ val solve :
     worth further nodes.  The ["milp.flow_certified"] counter records each
     early exit.
 
-    [warm_state] warm-starts the root relaxation from a previous solve of
-    a structurally identical model (same variable and row counts; see
-    {!Lp.solve_bounded} — a stale state is safe).  [pool] parallelizes the
-    LP relaxations of each node wave; results are identical with and
-    without it.  The ["milp.slow"] {!Syccl_util.Faultpoint} latency probe
+    [relax] solves each node's relaxation (default {!Lp.solve_bounded}):
+    it gets the node's variable bounds and its parent's final basis, and
+    returns the result with its own final basis for the children.  It is
+    a seam for tests and benchmarks to substitute a reference solver;
+    production always runs the default.  [pool] parallelizes the LP
+    relaxations of each node wave; results are identical with and without
+    it.  The ["milp.slow"] {!Syccl_util.Faultpoint} latency probe
     fires at solve entry. *)
 
 val check_feasible : model -> float array -> bool

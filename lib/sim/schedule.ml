@@ -74,6 +74,70 @@ let transpose t =
   let r = reverse t in
   { r with chunks = Array.map (fun c -> { c with mode = `Gather }) r.chunks }
 
+let drop_redundant t =
+  let xs = Array.of_list t.xfers in
+  let keep = Array.make (Array.length xs) true in
+  (* Each chunk's transfer indices, in priority order. *)
+  let by_chunk = Array.make (Array.length t.chunks) [] in
+  List.iter
+    (fun i -> by_chunk.(xs.(i).chunk) <- i :: by_chunk.(xs.(i).chunk))
+    (List.rev
+       (List.stable_sort
+          (fun i j -> compare xs.(i).prio xs.(j).prio)
+          (List.init (Array.length xs) Fun.id)));
+  Array.iteri
+    (fun c idx ->
+      let meta = t.chunks.(c) in
+      if meta.mode = `Gather then begin
+        (* Fire transfers in causal order, earliest priority first once
+           their source holds the chunk; one into a holder is a
+           re-delivery. *)
+        let holds = Hashtbl.create 16 in
+        List.iter (fun v -> Hashtbl.replace holds v ()) meta.initial;
+        let rec fire pending =
+          let fired = ref false in
+          let rest =
+            List.fold_left
+              (fun rest i ->
+                let x = xs.(i) in
+                if not (Hashtbl.mem holds x.src) then i :: rest
+                else begin
+                  fired := true;
+                  if Hashtbl.mem holds x.dst then keep.(i) <- false
+                  else Hashtbl.replace holds x.dst ();
+                  rest
+                end)
+              [] pending
+          in
+          if !fired then fire (List.rev rest)
+        in
+        fire idx;
+        (* Then peel relay leaves: a transfer into a GPU that does not want
+           the chunk and forwards it nowhere. *)
+        let sends = Hashtbl.create 16 in
+        let count v = Option.value ~default:0 (Hashtbl.find_opt sends v) in
+        List.iter
+          (fun i -> if keep.(i) then Hashtbl.replace sends xs.(i).src (count xs.(i).src + 1))
+          idx;
+        let rec peel () =
+          let peeled = ref false in
+          List.iter
+            (fun i ->
+              let x = xs.(i) in
+              if keep.(i) && count x.dst = 0 && not (List.mem x.dst meta.wanted)
+              then begin
+                keep.(i) <- false;
+                Hashtbl.replace sends x.src (count x.src - 1);
+                peeled := true
+              end)
+            idx;
+          if !peeled then peel ()
+        in
+        peel ()
+      end)
+    by_chunk;
+  { t with xfers = List.filteri (fun i _ -> keep.(i)) t.xfers }
+
 let scale t f =
   assert (f > 0.0);
   { t with chunks = Array.map (fun c -> { c with size = c.size *. f }) t.chunks }

@@ -60,6 +60,16 @@ val transpose : t -> t
     reverse of a Scatter, but its chunks are concatenated, not combined, so
     the reduce-mode flip {!reverse} performs must be undone. *)
 
+val drop_redundant : t -> t
+(** Drop, from every gather-mode chunk, each transfer into a GPU that
+    already holds the chunk (transfers fire in causal order, earliest
+    priority first), then each relay transfer into a GPU that neither
+    wants the chunk nor forwards it.  Each GPU then receives a chunk at
+    most once and every relay leads to a GPU that wants it, which is what
+    the {!reverse} and {!transpose} mirrors need to send each chunk at
+    most once per GPU.  Every wanted delivery is kept, and a schedule
+    with neither kind of transfer is returned unchanged. *)
+
 val scale : t -> float -> t
 (** Multiply every chunk size by a fraction (chunk splitting, §4.2). *)
 

@@ -56,7 +56,16 @@ let edge_timing spec c k =
 
 let port_group spec k = (Topology.dim spec.topo spec.edges.(k).edim).Topology.port_group
 
-let replay spec (sched : Schedule.t) =
+(* A schedule quantized onto the epoch grid: its makespan, every transfer
+   in replay (priority) order with its edge index and start epoch, and the
+   epoch from which each chunk is held at each GPU ([max_int]: never). *)
+type grid = {
+  makespan : int;
+  starts : (Schedule.xfer * int * int) list;
+  hold : int array array;
+}
+
+let grid_replay spec (sched : Schedule.t) =
   let n = Topology.num_gpus spec.topo in
   let nd = Topology.num_dims spec.topo in
   let npg =
@@ -76,6 +85,7 @@ let replay spec (sched : Schedule.t) =
   Array.iteri (fun k e -> Hashtbl.replace edge_index (e.eu, e.ev, e.edim) k) spec.edges;
   let fits = ref true in
   let makespan = ref 0 in
+  let starts = ref [] in
   List.iter
     (fun (x : Schedule.xfer) ->
       if !fits then
@@ -92,6 +102,7 @@ let replay spec (sched : Schedule.t) =
               in
               eg.((x.src * npg) + pg) <- start + busy;
               ing.((x.dst * npg) + pg) <- start + busy;
+              starts := (x, k, start) :: !starts;
               let arrive = start + lat in
               if arrive < hold.(x.chunk).(x.dst) then hold.(x.chunk).(x.dst) <- arrive;
               if arrive > !makespan then makespan := arrive;
@@ -103,7 +114,11 @@ let replay spec (sched : Schedule.t) =
     (fun c (m : Schedule.chunk_meta) ->
       List.iter (fun v -> if hold.(c).(v) = max_int then fits := false) m.wanted)
     spec.chunks;
-  if !fits then Some !makespan else None
+  if !fits then Some { makespan = !makespan; starts = List.rev !starts; hold }
+  else None
+
+let replay spec sched =
+  Option.map (fun g -> g.makespan) (grid_replay spec sched)
 
 (* Variable layout helpers. *)
 type layout = {
@@ -419,57 +434,24 @@ let growth_bound spec =
 
 (* Encode a schedule replayed on the epoch grid as a variable assignment. *)
 let incumbent_assignment spec layout (sched : Schedule.t) =
-  match replay spec sched with
+  match grid_replay spec sched with
   | None -> None
-  | Some _ ->
-      let n = Topology.num_gpus spec.topo in
-      let nc = Array.length spec.chunks in
+  | Some g ->
       let x = Array.make (Milp.num_vars layout.model) 0.0 in
-      (* Re-run the replay, this time recording epochs. *)
-      let nd = Topology.num_dims spec.topo in
-      let npg =
-        1 + Array.fold_left max 0
-              (Array.init nd (fun d -> (Topology.dim spec.topo d).Topology.port_group))
-      in
-      let hold = Array.make_matrix nc n max_int in
-      Array.iteri
-        (fun c (meta : Schedule.chunk_meta) ->
-          List.iter (fun v -> hold.(c).(v) <- 0) meta.initial)
-        spec.chunks;
-      let eg = Array.make (n * npg) 0 and ing = Array.make (n * npg) 0 in
-      let edge_index = Hashtbl.create 64 in
-      Array.iteri (fun k e -> Hashtbl.replace edge_index (e.eu, e.ev, e.edim) k) spec.edges;
-      let ordered =
-        List.stable_sort (fun (a : Schedule.xfer) b -> compare a.prio b.prio) sched.xfers
-      in
-      let makespan = ref 0 in
       List.iter
-        (fun (xf : Schedule.xfer) ->
-          let k = Hashtbl.find edge_index (xf.src, xf.dst, xf.dim) in
-          let lat, busy = edge_timing spec xf.chunk k in
-          let pg = port_group spec k in
-          let start =
-            max hold.(xf.chunk).(xf.src)
-              (max eg.((xf.src * npg) + pg) ing.((xf.dst * npg) + pg))
-          in
-          eg.((xf.src * npg) + pg) <- start + busy;
-          ing.((xf.dst * npg) + pg) <- start + busy;
-          let arrive = start + lat in
-          if arrive < hold.(xf.chunk).(xf.dst) then hold.(xf.chunk).(xf.dst) <- arrive;
-          if arrive > !makespan then makespan := arrive;
-          (match layout.send.(xf.chunk).(k) with
+        (fun ((xf : Schedule.xfer), k, start) ->
+          match layout.send.(xf.chunk).(k) with
           | -1 -> ()
-          | first -> if start < layout.send_epochs.(xf.chunk).(k) then x.(first + start) <- 1.0))
-        ordered;
-      for c = 0 to nc - 1 do
-        for v = 0 to n - 1 do
-          if Array.length layout.has.(c).(v) > 0 then
-            for e = 0 to spec.horizon do
-              if hold.(c).(v) <= e then x.(layout.has.(c).(v).(e)) <- 1.0
-            done
-        done
-      done;
-      x.(layout.t_var) <- float_of_int !makespan;
+          | first -> if start < layout.send_epochs.(xf.chunk).(k) then x.(first + start) <- 1.0)
+        g.starts;
+      Array.iteri
+        (fun c has_c ->
+          Array.iteri
+            (fun v has_cv ->
+              Array.iteri (fun e id -> if g.hold.(c).(v) <= e then x.(id) <- 1.0) has_cv)
+            has_c)
+        layout.has;
+      x.(layout.t_var) <- float_of_int g.makespan;
       if Milp.check_feasible layout.model x then Some x else None
 
 let extract spec layout x =
@@ -496,8 +478,7 @@ let extract spec layout x =
   { Schedule.chunks = spec.chunks; xfers }
 
 let solve ?(node_limit = 400) ?(time_limit = 60.0)
-    ?(budget = Syccl_util.Budget.unlimited) ?incumbent ?engine ?pool ?cache
-    ?(cache_tag = "") spec =
+    ?(budget = Syccl_util.Budget.unlimited) ?incumbent ?pool ?relax spec =
   let layout = build spec in
   (* The caller's variable budget is an estimate; refuse outsized models
      outright rather than letting one LP eat the whole time budget. *)
@@ -523,31 +504,10 @@ let solve ?(node_limit = 400) ?(time_limit = 60.0)
     in
     if epochs > 0.0 then Some (Float.ceil (epochs -. 1e-6) -. 0.1) else None
   in
-  (* Sketch-family siblings share the model shape; reuse the latest root
-     basis of that shape as a warm start (a stale or mismatched state is
-     validated and discarded inside {!Syccl_milp.Lp}). *)
-  let cache_key =
-    Printf.sprintf "%s|h%d:%dv:%dr" cache_tag spec.horizon
-      (Milp.num_vars layout.model)
-      (Milp.num_rows layout.model)
-  in
-  let warm_state =
-    match cache with
-    | None -> None
-    | Some c -> Syccl_util.Cache.find_opt c cache_key
-  in
   let result =
-    Milp.solve ~node_limit ~time_limit ~budget ?incumbent:warm ?engine ?pool
-      ?lower_bound ~gap:0.5 ?warm_state layout.model
+    Milp.solve ~node_limit ~time_limit ~budget ?incumbent:warm ?pool
+      ?lower_bound ~gap:0.5 ?relax layout.model
   in
-  (* First writer wins: once a key holds a basis every later sibling reads
-     the same one, so which sibling solved first (e.g. across pool
-     workers) cannot change what a subsequent solve warm-starts from. *)
-  (match (cache, result.Milp.root_state) with
-  | Some c, Some st ->
-      if Syccl_util.Cache.find_opt c cache_key = None then
-        Syccl_util.Cache.put c cache_key st
-  | _ -> ());
   match result.Milp.status with
   | Milp.Optimal | Milp.Feasible ->
       let sched = extract spec layout result.Milp.x in

@@ -58,10 +58,8 @@ val solve :
   ?time_limit:float ->
   ?budget:Syccl_util.Budget.t ->
   ?incumbent:Syccl_sim.Schedule.t ->
-  ?engine:Syccl_milp.Milp.engine ->
   ?pool:Syccl_util.Pool.t ->
-  ?cache:(string, Syccl_milp.Lp.basis_state) Syccl_util.Cache.t ->
-  ?cache_tag:string ->
+  ?relax:Syccl_milp.Lp.solver ->
   spec ->
   (Syccl_sim.Schedule.t * int) option
 (** Build and solve the model; returns the schedule (priorities = start
@@ -76,13 +74,9 @@ val solve :
     floor and early-exit certificate (gap 0.5: an incumbent whose makespan
     reaches the bound's ceiling is returned as optimal without also
     proving the arrival tie-break optimal) — a tree-optimal broadcast
-    incumbent certifies at the root without exploring any children.  [engine]
-    and [pool] are forwarded to {!Syccl_milp.Milp.solve}.  [cache], when
-    supplied, warm-starts the root relaxation from an earlier solve of a
-    same-shaped sibling model (keyed by [cache_tag] plus horizon and
-    variable/row counts) and stores this solve's root basis back under a
-    first-writer-wins discipline, so results stay deterministic even when
-    sibling solves run concurrently — give unrelated concurrent solves
-    distinct [cache_tag]s (a stale or mismatched basis is validated and
-    discarded inside {!Syccl_milp.Lp}, so a collision costs time, not
-    correctness). *)
+    incumbent certifies at the root without exploring any children.  [pool]
+    and [relax] are forwarded to {!Syccl_milp.Milp.solve}; [relax] lets a
+    test or benchmark substitute a reference LP solver, and no production
+    caller passes it.  Every solve starts its root relaxation cold: a
+    sub-demand class is solved once per synthesis call, so there is no
+    same-shaped sibling to hand a basis to. *)

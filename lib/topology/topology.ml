@@ -175,14 +175,6 @@ let edge_alive t ~dim u v =
              port_group = pg && (gpu = u || gpu = v))
        (Fault.elements t.faults))
 
-let alive_peers t ~dim v =
-  let g = group_of t ~dim v in
-  let members = gpus_in_group t ~dim ~group:g in
-  Array.of_list
-    (List.filter
-       (fun u -> u <> v && edge_alive t ~dim u v)
-       (Array.to_list members))
-
 (* The rotation group: per-axis rotation products, one element per GPU
    (the canonical automorphism taking GPU 0 there).  Always a subgroup of
    the full automorphism group, cheap to enumerate, and exactly the family

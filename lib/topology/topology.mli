@@ -102,9 +102,6 @@ val edge_alive : t -> dim:int -> int -> int -> bool
     dimension's port group down, and the link itself not down.  Always true
     on a healthy topology. *)
 
-val alive_peers : t -> dim:int -> int -> int array
-(** {!peers} filtered by {!edge_alive}. *)
-
 val rotation_group : t -> Syccl_util.Perm.t list
 (** All products of per-axis rotations — one element per GPU (the canonical
     {!automorphism_to} image of GPU 0).  A subgroup of the automorphism

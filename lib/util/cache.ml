@@ -22,7 +22,6 @@ type ('k, 'v) t = {
   evictions : int Atomic.t;
   h_hit : Counters.hist;  (* lookup latency of hits (lock wait included) *)
   h_miss : Counters.hist;  (* lookup latency of misses *)
-  h_compute : Counters.hist;  (* find_or_compute miss-path compute time *)
 }
 
 let create ?(capacity = 1024) ?(weight = fun _ -> 1) ~name () =
@@ -38,7 +37,6 @@ let create ?(capacity = 1024) ?(weight = fun _ -> 1) ~name () =
     evictions = Counters.int_counter (name ^ ".evictions");
     h_hit = Counters.histogram (name ^ ".hit_s");
     h_miss = Counters.histogram (name ^ ".miss_s");
-    h_compute = Counters.histogram (name ^ ".compute_s");
   }
 
 let touch c slot = slot := Atomic.fetch_and_add c.tick 1
@@ -94,19 +92,6 @@ let put c k v =
     evict_locked c ~newest:!slot
   end;
   Mutex.unlock c.lock
-
-(* The computation runs outside the lock: concurrent callers may compute
-   the same value twice, but never block each other on a slow miss, and
-   [Hashtbl.replace] keeps the table consistent either way. *)
-let find_or_compute c k f =
-  match find_opt c k with
-  | Some v -> v
-  | None ->
-      let t0 = Clock.now () in
-      let v = f () in
-      Counters.record c.h_compute (Clock.elapsed t0);
-      put c k v;
-      v
 
 let length c =
   Mutex.lock c.lock;

@@ -8,9 +8,8 @@
     batch-evicting least-recently-used entries, when exceeded, until at
     most half the capacity remains.  Hits, misses and evictions are
     published through {!Counters} as ["<name>.hits"], ["<name>.misses"],
-    ["<name>.evictions"]; lookup-latency distributions as the
-    ["<name>.hit_s"] / ["<name>.miss_s"] histograms, and the
-    {!find_or_compute} miss-path compute time as ["<name>.compute_s"]. *)
+    ["<name>.evictions"], and lookup-latency distributions as the
+    ["<name>.hit_s"] / ["<name>.miss_s"] histograms. *)
 
 type ('k, 'v) t
 
@@ -29,11 +28,6 @@ val put : ('k, 'v) t -> 'k -> 'v -> unit
     just put) down to half the capacity if the total weight outgrew it.
     A value heavier than the whole capacity is not kept: [put] then only
     drops the key's previous value. *)
-
-val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-(** Lookup, or compute-and-insert on miss.  The computation runs outside
-    the lock; concurrent misses on the same key may compute twice (the
-    results race benignly via replace). *)
 
 val length : ('k, 'v) t -> int
 val clear : ('k, 'v) t -> unit

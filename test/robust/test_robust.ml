@@ -14,6 +14,7 @@ module Faultpoint = Syccl_util.Faultpoint
 module Clock = Syccl_util.Clock
 module Milp = Syccl_milp.Milp
 module Epoch_model = Syccl_teccl.Epoch_model
+module Subsolver = Syccl.Subsolver
 
 let check = Alcotest.check
 
@@ -267,6 +268,39 @@ let test_deadline_bounded () =
   validate_outcome a100 coll o;
   check Alcotest.bool "degraded rung reported" true (o.Synth.degraded <> Synth.Full)
 
+(* A MILP refinement that returns past the deadline may have been cut
+   short by it, so the sub-solve must report the budget degraded: else its
+   class is memoized and the outcome is stored as a full-pipeline one,
+   under a registry key that does not carry the deadline.  After a counter
+   reset the p90 skip estimate sits at its 0.01 s floor, so the
+   refinement starts under a 0.1 s budget; the armed slow probe then
+   sleeps 0.2 s at solve entry. *)
+let test_subsolver_milp_past_deadline () =
+  Syccl_util.Counters.reset ();
+  let topo = Builders.h800_scaled ~servers:2 ~gpus_per_server:2 in
+  let entry chunk src dst =
+    { Subsolver.chunk; e_size = 65536.0; e_srcs = [ src ]; e_dsts = [ dst ] }
+  in
+  let demand =
+    {
+      Subsolver.d_stage = 0;
+      d_dim = 0;
+      d_group = 0;
+      entries = [ entry 0 0 1; entry 1 1 0 ];
+    }
+  in
+  let strategy =
+    Subsolver.Milp_refine
+      { e = 3.0; var_budget = 2000; node_limit = 20; time_limit = 2.0 }
+  in
+  with_faults "milp.slow:1.0" (fun () ->
+      let b = Budget.create ~seconds:0.1 () in
+      let t0 = Clock.now () in
+      ignore (Subsolver.solve_demand ~budget:b strategy topo demand);
+      check Alcotest.bool "the refinement ran into the slow probe" true
+        (Clock.now () -. t0 >= 0.15);
+      check Alcotest.bool "budget marked degraded" true (Budget.degraded b))
+
 let test_subsolver_crash_sweep () =
   with_faults "subsolver.crash:1.0" (fun () ->
       Synth.reset_caches ();
@@ -369,6 +403,8 @@ let suite =
     Alcotest.test_case "epoch limit round-trip" `Quick
       test_epoch_limit_round_trip;
     Alcotest.test_case "deadline bounded synthesis" `Quick test_deadline_bounded;
+    Alcotest.test_case "subsolver milp past deadline" `Quick
+      test_subsolver_milp_past_deadline;
     Alcotest.test_case "subsolver crash sweep" `Quick test_subsolver_crash_sweep;
     Alcotest.test_case "pool crash isolation" `Quick test_pool_crash_isolation;
     Alcotest.test_case "sim crash fallback" `Quick test_sim_crash_fallback;

@@ -259,7 +259,7 @@ let agree ?(tol = 1e-6) name p =
   let close a b =
     Float.abs (a -. b) <= tol *. (1.0 +. Float.max (Float.abs a) (Float.abs b))
   in
-  match (Syccl_milp.Lp_dense.solve p, Lp.solve p) with
+  match (Syccl_check.Lp_dense.solve p, Lp.solve p) with
   | Lp.Optimal { obj = da; _ }, Lp.Optimal { obj = ra; _ } ->
       check Alcotest.bool (name ^ ": objectives agree") true (close da ra)
   | Lp.Infeasible, Lp.Infeasible | Lp.Unbounded, Lp.Unbounded -> ()
@@ -341,24 +341,46 @@ let test_lp_bounded_warm () =
     (Syccl_util.Counters.value "lp.warm_hits" > hits0)
 
 let test_milp_engine_parity () =
-  (* The same model through both engines: the retired dense tableau (bounds
-     expanded into rows) and the revised simplex must agree on status and
-     objective. *)
-  let build () =
-    let m = Milp.create () in
-    let x = Milp.add_var m ~ub:4.0 ~integer:true ~obj:(-5.0) "x" in
-    let y = Milp.add_var m ~ub:7.0 ~integer:true ~obj:(-4.0) "y" in
-    let z = Milp.add_var m ~ub:2.5 ~obj:(-1.0) "z" in
-    Milp.add_le m [ (x, 6.0); (y, 4.0) ] 24.0;
-    Milp.add_le m [ (x, 1.0); (y, 2.0) ] 6.0;
-    Milp.add_ge m [ (x, 1.0); (y, 1.0); (z, 1.0) ] 1.0;
-    m
+  (* Branch-and-bound over the revised simplex and over the retired dense
+     tableau ([~relax:Lp_dense.relax], bounds written as rows) must agree
+     on status and objective: the milp-differential property, on a fixed
+     seed's random bounded MILPs. *)
+  let report =
+    Syccl_check.Fuzz.run ~props:[ "milp-differential" ] ~seed:19 ~cases:300 ()
   in
-  let r = Milp.solve ~engine:Milp.Revised (build ()) in
-  let d = Milp.solve ~engine:Milp.Dense (build ()) in
-  check Alcotest.bool "revised optimal" true (r.Milp.status = Milp.Optimal);
-  check Alcotest.bool "dense optimal" true (d.Milp.status = Milp.Optimal);
-  check (Alcotest.float 1e-6) "engine objectives agree" d.Milp.obj r.Milp.obj
+  List.iter
+    (fun (f : Syccl_check.Fuzz.failure) ->
+      Alcotest.failf "case %d: %s" f.case f.detail)
+    report.Syccl_check.Fuzz.failures;
+  match report.Syccl_check.Fuzz.stats with
+  | [ s ] ->
+      check Alcotest.bool "most cases compared" true (s.passed > s.cases_run / 2)
+  | _ -> Alcotest.fail "milp-differential is not in the catalogue"
+
+(* Shrunk from milp-differential: branching an integer variable with a
+   fractional upper bound (x in [1, 1.5]) makes a child with x >= 2 past
+   its own bound.  That child is infeasible; the revised simplex used to
+   return a point at the crossed bound, here x4 = 2, which made the MILP
+   claim objective -0.25 from an infeasible point. *)
+let test_milp_branch_past_bound () =
+  let m = Milp.create () in
+  let var lb ub integer obj = Milp.add_var m ~lb ~ub ~integer ~obj "x" in
+  let x0 = var 0.0 0.5 false (-0.5) in
+  let x1 = var 1.0 1.0 true (-2.0) in
+  let x2 = var 0.0 4.5 false 1.0 in
+  let x3 = var 0.0 1.0 true 2.0 in
+  let x4 = var 1.0 1.5 true 0.0 in
+  let x5 = var 2.0 5.0 true 1.0 in
+  Milp.add_le m [ (x0, -4.0); (x5, 1.0); (x3, 1.0) ] 10.0;
+  Milp.add_ge m [ (x4, 1.0); (x1, 1.5); (x3, 2.0); (x2, -2.0); (x0, 2.0) ] 4.0;
+  let r = Milp.solve m in
+  check Alcotest.bool "optimal" true (r.Milp.status = Milp.Optimal);
+  check Alcotest.bool "feasible point" true (Milp.check_feasible m r.Milp.x);
+  check (Alcotest.float 1e-6) "objective" 1.75 r.Milp.obj;
+  let lb = [| 2.0 |] and ub = [| 1.5 |] in
+  let p = { Lp.num_vars = 1; objective = [| 1.0 |]; rows = [] } in
+  check Alcotest.bool "crossed bounds are infeasible" true
+    (fst (Lp.solve_bounded ~lb ~ub p) = Lp.Infeasible)
 
 let test_milp_flow_certificate () =
   (* An external lower bound matching the optimum stops the search with the
@@ -379,5 +401,6 @@ let suite =
       ("lp dense eq artificials", `Quick, test_lp_dense_eq_artificials);
       ("lp bounded warm", `Quick, test_lp_bounded_warm);
       ("milp engine parity", `Quick, test_milp_engine_parity);
+      ("milp branch past bound", `Quick, test_milp_branch_past_bound);
       ("milp flow certificate", `Quick, test_milp_flow_certificate);
     ]

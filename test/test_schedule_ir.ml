@@ -37,6 +37,30 @@ let test_map_gpus () =
       check Alcotest.int "second dst" 0 b.Schedule.dst
   | _ -> Alcotest.fail "two xfers")
 
+(* The widened-relay shape: GPU 0 owns the chunk and hands it to GPU 1,
+   then a relay path 0 -> 1 -> 3 (its first hop a re-delivery) and a relay
+   leaf 0 -> 2 that forwards nothing.  Dropping both leaves a tree whose
+   mirrors validate; a valid schedule comes back unchanged. *)
+let test_drop_redundant () =
+  let topo = flat 4 in
+  let s =
+    {
+      Schedule.chunks = [| gather 8.0 [ 0 ] [ 1; 3 ] 0 |];
+      xfers =
+        [ xfer 0 0 1; xfer ~prio:10 0 0 1; xfer ~prio:11 0 1 3; xfer ~prio:12 0 0 2 ];
+    }
+  in
+  let d = Schedule.drop_redundant s in
+  check Alcotest.int "two transfers kept" 2 (Schedule.num_xfers d);
+  check Alcotest.(list (pair int int)) "first delivery and the onward hop"
+    [ (0, 1); (1, 3) ]
+    (List.map (fun (x : Schedule.xfer) -> (x.src, x.dst)) d.Schedule.xfers);
+  check Alcotest.bool "reverse validates" true
+    (Syccl_sim.Validate.check topo (Schedule.reverse d) = Ok ());
+  check Alcotest.bool "input reverse rejected" true
+    (Result.is_error (Syccl_sim.Validate.check topo (Schedule.reverse s)));
+  check Alcotest.bool "valid schedule unchanged" true (Schedule.drop_redundant d = d)
+
 let test_empty_schedule () =
   let topo = flat 2 in
   check (Alcotest.float 1e-12) "empty runs instantly" 0.0 (Sim.time topo Schedule.empty)
@@ -141,6 +165,7 @@ let suite =
     ("scale", `Quick, test_scale);
     ("map gpus", `Quick, test_map_gpus);
     ("empty schedule", `Quick, test_empty_schedule);
+    ("drop redundant", `Quick, test_drop_redundant);
     qtest work_conserving_prop;
     qtest independence_prop;
     qtest split_helps_prop;

@@ -214,6 +214,25 @@ let test_same_name_other_shape () =
   check Alcotest.string "full rung" "full" (Synth.level_name after.Synth.degraded);
   same_outcome "4x2 after 2x4" fresh after
 
+(* On multirail:2x2 with GPU 1's rail/spine NIC down, the rail group of
+   GPUs 1 and 3 is disconnected, and its widened sub-solution relays
+   through GPU 0, which already holds the chunk.  Mirrored into a reduce,
+   that re-delivery made GPU 0 send twice, and the screening simulation
+   deadlocked: ReduceScatter and AllReduce fell to the rerouted rung. *)
+let test_nic_fault_reduce_full_rung () =
+  let topo =
+    T.puncture
+      (Builders.h800_scaled ~servers:2 ~gpus_per_server:2)
+      (Syccl_topology.Fault.decode "nic:1@1")
+  in
+  List.iter
+    (fun kind ->
+      let coll = C.make kind ~n:4 ~size:1.048576e6 in
+      let o = synth_valid topo coll in
+      check Alcotest.string (C.kind_name kind ^ " rung") "full"
+        (Synth.level_name o.Synth.degraded))
+    [ C.ReduceScatter; C.AllReduce; C.AllGather ]
+
 let test_sendrecv_direct_or_relay () =
   let topo = Builders.h800 ~servers:2 in
   (* Same rail: one hop expected. *)
@@ -248,4 +267,5 @@ let suite =
     ("sweep distinct sizes deterministic", `Quick, test_sweep_distinct_sizes_deterministic);
     ("history independent", `Quick, test_history_independent);
     ("same name other shape", `Quick, test_same_name_other_shape);
+    ("nic fault reduce full rung", `Quick, test_nic_fault_reduce_full_rung);
   ]

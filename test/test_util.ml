@@ -1,7 +1,6 @@
 (* Unit and property tests for the utility substrate. *)
 
 module Xrand = Syccl_util.Xrand
-module Bitset = Syccl_util.Bitset
 module Pqueue = Syccl_util.Pqueue
 module Mixed_radix = Syccl_util.Mixed_radix
 module Linalg = Syccl_util.Linalg
@@ -36,41 +35,6 @@ let test_rand_shuffle_permutes () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   check Alcotest.(array int) "same elements" (Array.init 20 (fun i -> i)) sorted
-
-(* --- Bitset --- *)
-
-let test_bitset_basic () =
-  let b = Bitset.create 100 in
-  Alcotest.(check bool) "empty" true (Bitset.is_empty b);
-  Bitset.add b 0;
-  Bitset.add b 63;
-  Bitset.add b 64;
-  Bitset.add b 99;
-  check Alcotest.int "cardinal" 4 (Bitset.cardinal b);
-  Alcotest.(check bool) "mem 63" true (Bitset.mem b 63);
-  Alcotest.(check bool) "not mem 62" false (Bitset.mem b 62);
-  Bitset.remove b 63;
-  check Alcotest.int "after remove" 3 (Bitset.cardinal b);
-  check Alcotest.(list int) "elements sorted" [ 0; 64; 99 ] (Bitset.elements b)
-
-let test_bitset_full () =
-  let b = Bitset.create 10 in
-  for i = 0 to 9 do
-    Bitset.add b i
-  done;
-  Alcotest.(check bool) "full" true (Bitset.is_full b)
-
-let bitset_ops_prop =
-  QCheck.Test.make ~name:"bitset set operations agree with lists" ~count:200
-    QCheck.(pair (small_list (int_bound 63)) (small_list (int_bound 63)))
-    (fun (xs, ys) ->
-      let a = Bitset.of_list 64 xs and b = Bitset.of_list 64 ys in
-      let module IS = Set.Make (Int) in
-      let sa = IS.of_list xs and sb = IS.of_list ys in
-      Bitset.elements (Bitset.union a b) = IS.elements (IS.union sa sb)
-      && Bitset.elements (Bitset.inter a b) = IS.elements (IS.inter sa sb)
-      && Bitset.elements (Bitset.diff a b) = IS.elements (IS.diff sa sb)
-      && Bitset.subset a (Bitset.union a b))
 
 (* --- Pqueue --- *)
 
@@ -238,9 +202,6 @@ let suite =
     ("rand deterministic", `Quick, test_rand_deterministic);
     ("rand bounds", `Quick, test_rand_bounds);
     ("rand shuffle permutes", `Quick, test_rand_shuffle_permutes);
-    ("bitset basic", `Quick, test_bitset_basic);
-    ("bitset full", `Quick, test_bitset_full);
-    qtest bitset_ops_prop;
     qtest pqueue_sorted_prop;
     ("pqueue peek", `Quick, test_pqueue_peek);
     qtest mixed_radix_roundtrip_prop;

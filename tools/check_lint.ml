@@ -23,12 +23,12 @@
       unlabelled [Assert_failure]: the fuzzer shrinks on messages, and
       servers must survive a failed validation. *)
 
-(* 5. No dense-matrix allocation ([Array.make_matrix]) in lib/milp outside
-      lp_dense.ml — the production solver is the revised simplex over
-      sparse columns precisely because an m×n tableau is quadratic in the
-      epoch model's size; a dense allocation creeping back in silently
-      reintroduces the blowup.  The dense tableau survives only in
-      lp_dense.ml as the differential-testing oracle. *)
+(* 5. No dense-matrix allocation ([Array.make_matrix]) in lib/milp — the
+      production solver is the revised simplex over sparse columns
+      precisely because an m×n tableau is quadratic in the epoch model's
+      size; a dense allocation creeping back in silently reintroduces the
+      blowup.  The dense tableau survives only as the differential-testing
+      oracle in lib/check/lp_dense.ml. *)
 
 (* 6. Registered counter names: every string literal passed to
       Counters.bump/add/addf/observe must come from the central table in
@@ -126,7 +126,9 @@ let rules =
     };
     {
       name = "dense matrix in sparse solver";
-      hint = "lib/milp is sparse-only; the dense tableau lives in lp_dense.ml (oracle)";
+      hint =
+        "lib/milp is sparse-only; the dense tableau lives in \
+         lib/check/lp_dense.ml (oracle)";
       applies =
         (fun path ->
           let has sub s =
@@ -134,7 +136,7 @@ let rules =
             let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
             go 0
           in
-          has "milp" path && Filename.basename path <> "lp_dense.ml");
+          has "milp" path);
       needles = [ "Array.make_matrix" ];
       at_bol_only = false;
     };
