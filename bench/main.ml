@@ -49,7 +49,8 @@ let sizes () =
       1.6777216e7; 6.7108864e7; 2.68435456e8; 1.073741824e9; 4.294967296e9 ]
   else [ 1.024e3; 6.5536e4; 1.048576e6; 1.6777216e7; 2.68435456e8; 1.073741824e9 ]
 
-let teccl_budget () = if !full then 600.0 else 30.0
+let time_box seconds = Syccl_util.Budget.create ~seconds ()
+let teccl_budget () = time_box (if !full then 600.0 else 30.0)
 
 let pp_size s =
   if s >= 1.073741824e9 then Printf.sprintf "%.0fG" (s /. 1.073741824e9)
@@ -85,7 +86,7 @@ let syccl_outcome topo coll cfg = Synth.synthesize ~config:cfg topo coll
 let teccl topo coll =
   memo (Printf.sprintf "teccl/%d/%s" (T.num_gpus topo) (coll_key coll))
     (fun () ->
-      let o = Teccl.synthesize ~time_budget:(teccl_budget ()) topo coll in
+      let o = Teccl.synthesize ~budget:(teccl_budget ()) topo coll in
       match o.Teccl.schedules with
       | None -> None
       | Some ss ->
@@ -154,7 +155,7 @@ let fig15b () =
       (* TECCL's whole-problem construction does not finish at this scale
          inside any practical budget; reproduce the paper's timeout row. *)
       let t =
-        let o = Teccl.synthesize ~time_budget:(if !full then 60.0 else 5.0) topo coll in
+        let o = Teccl.synthesize ~budget:(time_box (if !full then 60.0 else 5.0)) topo coll in
         match o.Teccl.schedules with
         | None -> None
         | Some ss ->
@@ -594,7 +595,7 @@ let milp_group_spec topo ~dim ~group ~nchunks ~size =
   let incumbent = { Syccl_sim.Schedule.chunks; xfers } in
   let spec0 = { EM.topo; chunks; edges; tau; horizon = 0 } in
   match EM.replay { spec0 with horizon = max_int / 2 } incumbent with
-  | Some h -> ({ spec0 with horizon = h }, incumbent)
+  | Some grid -> ({ spec0 with horizon = EM.epochs grid }, grid)
   | None -> failwith "bench milp: tree incumbent does not replay"
 
 let bench_milp () =
@@ -631,7 +632,7 @@ let bench_milp () =
           List.map
             (fun (spec, inc) ->
               match
-                EM.solve ~node_limit:10_000 ~time_limit:600.0 ?pool ?relax
+                EM.solve ~node_limit:10_000 ~budget:(time_box 600.0) ?pool ?relax
                   ~incumbent:inc spec
               with
               | Some (_, epochs) -> epochs

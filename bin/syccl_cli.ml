@@ -658,7 +658,9 @@ let sweep_cmd =
         let teccl =
           match
             Syccl_teccl.Teccl.busbw topo coll
-              (Syccl_teccl.Teccl.synthesize ~time_budget:60.0 topo coll)
+              (Syccl_teccl.Teccl.synthesize
+                 ~budget:(Syccl_util.Budget.create ~seconds:60.0 ())
+                 topo coll)
           with
           | Some b -> Printf.sprintf "%.1f" b
           | None -> "timeout"

@@ -21,7 +21,10 @@ let () =
       let nccl coll = Syccl_baselines.Nccl.time topo coll in
       let teccl coll =
         match
-          (Syccl_teccl.Teccl.synthesize ~time_budget:30.0 topo coll).schedules
+          (Syccl_teccl.Teccl.synthesize
+             ~budget:(Syccl_util.Budget.create ~seconds:30.0 ())
+             topo coll)
+            .schedules
         with
         | Some ss -> Syccl_sim.Sim.phases_time topo ss
         | None -> nccl coll

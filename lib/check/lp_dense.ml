@@ -47,7 +47,7 @@ let pivot t r c =
    Returns [`Optimal], [`Unbounded] or [`Iter_limit]. *)
 let budget_stride = 64
 
-let run_phase t ~budget ~max_iters ~pivots =
+let run_phase t ~budget ~max_iters =
   let bland_after = max 200 (2 * (t.m + t.cols)) in
   let obj = t.tab.(t.m) in
   let rec loop iter =
@@ -106,7 +106,6 @@ let run_phase t ~budget ~max_iters ~pivots =
         if !leave < 0 then `Unbounded
         else begin
           pivot t !leave entering;
-          incr pivots;
           loop (iter + 1)
         end
       end
@@ -114,13 +113,10 @@ let run_phase t ~budget ~max_iters ~pivots =
   in
   loop 0
 
-let h_pivots = Syccl_util.Counters.histogram "lp_dense.pivots_per_solve"
-
 let solve ?max_iters ?(budget = Syccl_util.Budget.unlimited)
     { Lp.num_vars; objective; rows } =
   if Array.length objective <> num_vars then
     invalid_arg "Lp_dense.solve: objective length mismatch";
-  let pivots = ref 0 in
   let rows = Array.of_list rows in
   let m = Array.length rows in
   (* Normalize to b >= 0. *)
@@ -203,63 +199,59 @@ let solve ?max_iters ?(budget = Syccl_util.Budget.unlimited)
             obj.(j) <- obj.(j) -. t.tab.(i).(j)
           done
       done;
-      run_phase t ~budget ~max_iters ~pivots
+      run_phase t ~budget ~max_iters
     end
   in
-  let result =
-    match status1 with
-    | `Iter_limit -> Lp.Iter_limit
-    | `Unbounded -> Lp.Infeasible (* phase 1 is bounded below by 0 *)
-    | `Optimal ->
-        let phase1_obj = -.t.tab.(m).(cols) in
-        if phase1_needed && phase1_obj > 1e-6 then Lp.Infeasible
-        else begin
-          (* Drive remaining basic artificials out or deactivate their rows. *)
-          for i = 0 to m - 1 do
-            if is_art.(basis.(i)) then begin
-              let piv = ref (-1) in
-              (try
-                 for j = 0 to cols - 1 do
-                   if (not is_art.(j)) && Float.abs t.tab.(i).(j) > 1e-7
-                   then begin
-                     piv := j;
-                     raise Exit
-                   end
-                 done
-               with Exit -> ());
-              if !piv >= 0 then pivot t i !piv else active_row.(i) <- false
-            end
-          done;
-          List.iter (fun c -> usable.(c) <- false) !art_cols;
-          (* Phase 2: rebuild the reduced-cost row from the true objective. *)
-          let obj = t.tab.(m) in
-          Array.fill obj 0 (cols + 1) 0.0;
-          Array.blit objective 0 obj 0 num_vars;
-          for i = 0 to m - 1 do
-            if active_row.(i) && basis.(i) < num_vars then begin
-              let c = objective.(basis.(i)) in
-              if c <> 0.0 then
-                for j = 0 to cols do
-                  obj.(j) <- obj.(j) -. (c *. t.tab.(i).(j))
-                done
-            end
-          done;
-          match run_phase t ~budget ~max_iters ~pivots with
-          | `Iter_limit -> Lp.Iter_limit
-          | `Unbounded -> Lp.Unbounded
-          | `Optimal ->
-              let x = Array.make num_vars 0.0 in
-              for i = 0 to m - 1 do
-                if active_row.(i) && basis.(i) < num_vars then
-                  x.(basis.(i)) <- t.tab.(i).(cols)
-              done;
-              let objv = ref 0.0 in
-              Array.iteri (fun j c -> objv := !objv +. (c *. x.(j))) objective;
-              Lp.Optimal { x; obj = !objv }
-        end
-  in
-  Syccl_util.Counters.record h_pivots (float_of_int !pivots);
-  result
+  match status1 with
+  | `Iter_limit -> Lp.Iter_limit
+  | `Unbounded -> Lp.Infeasible (* phase 1 is bounded below by 0 *)
+  | `Optimal ->
+      let phase1_obj = -.t.tab.(m).(cols) in
+      if phase1_needed && phase1_obj > 1e-6 then Lp.Infeasible
+      else begin
+        (* Drive remaining basic artificials out or deactivate their rows. *)
+        for i = 0 to m - 1 do
+          if is_art.(basis.(i)) then begin
+            let piv = ref (-1) in
+            (try
+               for j = 0 to cols - 1 do
+                 if (not is_art.(j)) && Float.abs t.tab.(i).(j) > 1e-7
+                 then begin
+                   piv := j;
+                   raise Exit
+                 end
+               done
+             with Exit -> ());
+            if !piv >= 0 then pivot t i !piv else active_row.(i) <- false
+          end
+        done;
+        List.iter (fun c -> usable.(c) <- false) !art_cols;
+        (* Phase 2: rebuild the reduced-cost row from the true objective. *)
+        let obj = t.tab.(m) in
+        Array.fill obj 0 (cols + 1) 0.0;
+        Array.blit objective 0 obj 0 num_vars;
+        for i = 0 to m - 1 do
+          if active_row.(i) && basis.(i) < num_vars then begin
+            let c = objective.(basis.(i)) in
+            if c <> 0.0 then
+              for j = 0 to cols do
+                obj.(j) <- obj.(j) -. (c *. t.tab.(i).(j))
+              done
+          end
+        done;
+        match run_phase t ~budget ~max_iters with
+        | `Iter_limit -> Lp.Iter_limit
+        | `Unbounded -> Lp.Unbounded
+        | `Optimal ->
+            let x = Array.make num_vars 0.0 in
+            for i = 0 to m - 1 do
+              if active_row.(i) && basis.(i) < num_vars then
+                x.(basis.(i)) <- t.tab.(i).(cols)
+            done;
+            let objv = ref 0.0 in
+            Array.iteri (fun j c -> objv := !objv +. (c *. x.(j))) objective;
+            Lp.Optimal { x; obj = !objv }
+      end
 
 let relax ?max_iters ?budget ?warm:_ ~lb ~ub (p : Lp.problem) =
   let bound_rows =

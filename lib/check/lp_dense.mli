@@ -1,4 +1,4 @@
-(** The retired dense two-phase primal simplex, kept verbatim as a
+(** The retired dense two-phase primal simplex, kept as a
     differential test oracle for the revised solver in {!Syccl_milp.Lp}.
 
     Production code must not call this: every pivot rewrites a dense
@@ -15,9 +15,7 @@ val solve :
   Syccl_milp.Lp.problem ->
   Syccl_milp.Lp.result
 (** Identical contract to the pre-rewrite [Lp.solve]: bounds are not
-    supported natively — encode them as explicit constraint rows.  Pivot
-    counts land in the ["lp_dense.pivots_per_solve"] histogram so A/B runs
-    can compare work done. *)
+    supported natively — encode them as explicit constraint rows. *)
 
 val relax : Syccl_milp.Lp.solver
 (** {!solve} in the shape of {!Syccl_milp.Lp.solve_bounded}, for

@@ -667,7 +667,8 @@ let prop_oracle ctx =
           in
           let teccl =
             Teccl.synthesize ~seed:(X.int rng 1_000_000) ~restarts:1
-              ~time_budget:10.0 topo coll
+              ~budget:(Syccl_util.Budget.create ~seconds:10.0 ())
+              topo coll
           in
           let comparators =
             [ ("greedy", oracle_tolerance, Some fast.Synthesizer.schedules);

@@ -388,10 +388,12 @@ let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool strategy
      and remember it: the epoch model below covers the group's own edges
      only, so a widened solution must skip MILP refinement. *)
   let widened = ref false in
+  (* Widen and rescue run on their own second: the caller's may be spent. *)
+  let time_box () = Syccl_util.Budget.create ~seconds:1.0 () in
   let widen () =
     if Fault.is_empty (Topology.faults topo) then None
     else
-      match Greedy.solve ~restrict:Greedy.All ~time_budget:1.0 topo metas with
+      match Greedy.solve ~restrict:Greedy.All ~budget:(time_box ()) topo metas with
       | Some s ->
           widened := true;
           Syccl_util.Counters.bump "subsolve.widened";
@@ -402,7 +404,7 @@ let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool strategy
      escape hatch when the direct fabric is broken but the budget is gone. *)
   let rescue reason =
     skip reason;
-    match Greedy.solve ~restrict ~time_budget:1.0 topo metas with
+    match Greedy.solve ~restrict ~budget:(time_box ()) topo metas with
     | Some s -> s
     | None -> (
         match widen () with
@@ -483,7 +485,8 @@ let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool strategy
         in
         match Epoch_model.replay { spec0 with horizon = max_int / 2 } greedy with
         | None -> greedy
-        | Some h ->
+        | Some grid ->
+            let h = Epoch_model.epochs grid in
             let spec = { spec0 with horizon = h } in
             let approx_vars =
               Array.length metas
@@ -504,9 +507,12 @@ let solve_demand ?warm ?(budget = Syccl_util.Budget.unlimited) ?pool strategy
               greedy
             end
             else begin
+              (* The model's own limit starts here, before the build, and
+                 cutting it alone leaves the caller's budget unmarked. *)
               let solved =
-                Epoch_model.solve ~node_limit ~time_limit ~budget ?pool
-                  ~incumbent:greedy spec
+                Epoch_model.solve ~node_limit
+                  ~budget:(Syccl_util.Budget.sub ~seconds:time_limit budget)
+                  ?pool ~incumbent:grid spec
               in
               (* A refinement that returns past the deadline may have been
                  cut short by it: what it found depends on where the

@@ -16,6 +16,7 @@ type strategy =
       var_budget : int;  (** skip MILP when the model would exceed this *)
       node_limit : int;
       time_limit : float;
+          (** seconds per model, a {!Syccl_util.Budget.sub} of the call's *)
     }  (** greedy incumbent + epoch-MILP refinement ("accurate solving") *)
 
 type entry = {
@@ -68,8 +69,9 @@ val solve_demand :
     the process-wide ["milp.solve_s"] history), and a refinement that
     returns with the budget expired counts as cut short by it.  Every
     budget-forced shortcut bumps ["subsolve.budget_skips"] and marks the
-    budget degraded ({!Syccl_util.Budget.mark_degraded}).  The
-    ["subsolver.crash"] {!Syccl_util.Faultpoint} probe fires at entry. *)
+    budget degraded ({!Syccl_util.Budget.mark_degraded}); a model stopped
+    by its own [time_limit] alone does not.  The ["subsolver.crash"]
+    {!Syccl_util.Faultpoint} probe fires at entry. *)
 
 val transfer :
   Syccl_topology.Topology.t ->

@@ -12,16 +12,10 @@ module Budget = Syccl_util.Budget
 
 type config = {
   search_config : Search.config option;
-  e1 : float;
   e2 : float;
-  r1 : float;
-  r2 : int;
   fast_only : bool;
-  milp_var_budget : int;
   milp_node_limit : int;
   milp_time_limit : float;
-  max_shapes : int;
-  max_combos : int;
   domains : int;
   blocks : int;
   deadline : float option;
@@ -30,16 +24,10 @@ type config = {
 let default_config =
   {
     search_config = None;
-    e1 = 3.0;
     e2 = 0.5;
-    r1 = 0.20;
-    r2 = 8;
     fast_only = false;
-    milp_var_budget = 1100;
     milp_node_limit = 60;
     milp_time_limit = 6.0;
-    max_shapes = 18;
-    max_combos = 64;
     domains = 1;
     blocks = 8;
     deadline = None;
@@ -231,16 +219,22 @@ let assemble topo kp ~solution =
   let s = Subsolver.assemble kp.plan ~solution:(fun i d -> solution kp.keys.(i) d) in
   if Fault.is_empty (Topology.faults topo) then s else Schedule.drop_redundant s
 
-let strategy_of cfg ~e =
-  if cfg.fast_only then Subsolver.Fast_only
-  else
-    Subsolver.Milp_refine
-      {
-        e;
-        var_budget = cfg.milp_var_budget;
-        node_limit = cfg.milp_node_limit;
-        time_limit = cfg.milp_time_limit;
-      }
+(* The two-step synthesis runs at the paper's operating point (§7.1).  The
+   coarse step solves every combination with epoch knob E1 and half the
+   model-size cap; the candidates within R1 of the best, at most R2 of
+   them, go on to the fine step at the config's E2. *)
+let e1 = 3.0
+let r1 = 0.20
+let r2 = 8
+
+(* Epoch models over this many variables skip MILP refinement. *)
+let milp_var_budget = 1100
+
+(* Shapes kept (by α-β estimate) for combination, and combinations kept.
+   At production scale every combination costs seconds to plan and
+   simulate, so fewer of both. *)
+let max_shapes topo = if Topology.num_gpus topo >= 256 then 8 else 18
+let max_combos topo = if Topology.num_gpus topo >= 256 then 12 else 64
 
 (* Sketch search depends only on (topology, kind, root, config) and
    combination only on (topology, sketches, limits) — not on the data size —
@@ -409,17 +403,12 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
       (* stage term only breaks ties toward lower latency *)
     in
     let estimate = if all_to_all then merged_estimate else stage_estimate in
-    (* Production scale: per-combo planning/simulation costs grow with n, so
-       keep fewer (better-ranked) shapes. *)
-    let cap =
-      if Topology.num_gpus topo >= 256 then min cfg.max_shapes 8
-      else cfg.max_shapes
-    in
     let ranked =
       List.map (fun s -> (estimate s, s)) sketches
       |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
       |> List.map snd
     in
+    let cap = max_shapes topo in
     let kept = List.filteri (fun i _ -> i < cap) ranked in
     (* A shape that is slow alone can be the essential complement of a mix
        (§4.2 step 2 balances dimensions by pairing opposite profiles), so
@@ -445,12 +434,8 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
     timed (fun () ->
         Trace.with_span ~cat:"stage" "synth.combine" @@ fun () ->
         (* Combinations are also size-independent (fractions are ratios);
-           key by the kept shapes' signatures.  At production scale every
-           combo costs seconds to plan/simulate, so fewer are kept. *)
-        let max_combos =
-          if Topology.num_gpus topo >= 256 then min cfg.max_combos 12
-          else cfg.max_combos
-        in
+           key by the kept shapes' signatures. *)
+        let max_combos = max_combos topo in
         let key =
           Format.asprintf "%s/%b/%d/%a" (Topology.fingerprint topo)
             (List.length primitives > 1)
@@ -484,8 +469,8 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
                budget — quick screening of every combination. *)
             Subsolver.Milp_refine
               {
-                e = cfg.e1;
-                var_budget = cfg.milp_var_budget / 2;
+                e = e1;
+                var_budget = milp_var_budget / 2;
                 node_limit = min 20 cfg.milp_node_limit;
                 time_limit = Float.min 2.0 cfg.milp_time_limit;
               }
@@ -518,9 +503,9 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
     List.fold_left (fun a (_, _, _, t) -> Float.min a t) infinity step1
   in
   let survivors =
-    List.filter (fun (_, _, _, t) -> t <= best_t *. (1.0 +. cfg.r1)) step1
+    List.filter (fun (_, _, _, t) -> t <= best_t *. (1.0 +. r1)) step1
     |> List.sort (fun (_, _, _, a) (_, _, _, b) -> Float.compare a b)
-    |> List.filteri (fun i _ -> i < cfg.r2)
+    |> List.filteri (fun i _ -> i < r2)
   in
   (* Step 2: accurate solving and full-fidelity simulation of the
      surviving candidates. *)
@@ -539,7 +524,15 @@ let synth_phase ~pool ~memo ~budget cfg topo (phase : Collective.t) =
               (c, p, s1, Sim.time ~blocks:(fidelity_blocks s1) topo s1))
             survivors
         else begin
-          let strategy = strategy_of cfg ~e:cfg.e2 in
+          let strategy =
+            Subsolver.Milp_refine
+              {
+                e = cfg.e2;
+                var_budget = milp_var_budget;
+                node_limit = cfg.milp_node_limit;
+                time_limit = cfg.milp_time_limit;
+              }
+          in
           (* Fine solves warm-start from the coarse incumbent for the same
              demand (step 1's class table is read-only by now). *)
           let solution =

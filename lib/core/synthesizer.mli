@@ -4,16 +4,12 @@
 
 type config = {
   search_config : Search.config option;  (** [None] = {!Search.default} *)
-  e1 : float;  (** coarse-step epoch knob (§5.3; paper default 3.0) *)
   e2 : float;  (** fine-step epoch knob (paper default 0.5) *)
-  r1 : float;  (** keep candidates within [r1] of the best (default 0.20) *)
-  r2 : int;  (** keep at most [r2] candidates for the fine step (default 8) *)
   fast_only : bool;  (** skip the MILP refinement entirely *)
-  milp_var_budget : int;  (** model-size cap for the epoch MILP *)
-  milp_node_limit : int;
-  milp_time_limit : float;  (** per-model solver budget, seconds *)
-  max_shapes : int;  (** sketches kept (by α-β estimate) for combination *)
-  max_combos : int;
+  milp_node_limit : int;  (** per fine-step model; coarse: at most 20 *)
+  milp_time_limit : float;
+      (** seconds per fine-step model (coarse: at most 2), each a
+          {!Syccl_util.Budget.sub} of the call's budget *)
   domains : int;
       (** parallel solver instances (§5.3); served by a persistent
           work-stealing pool ({!Syccl_util.Pool}) spawned once per level *)
@@ -25,8 +21,8 @@ type config = {
 }
 
 val default_config : config
-(** E1 = 3.0, E2 = 0.5, R1 = 20 %, R2 = 8 (§7.1), MILP refinement on,
-    no deadline. *)
+(** E2 = 0.5 (§7.1), MILP refinement on, no deadline.  E1 = 3.0,
+    R1 = 20 % and R2 = 8 are constants of the pipeline. *)
 
 type level =
   | Full  (** the full pipeline ran to completion *)
@@ -101,7 +97,9 @@ val synthesize :
     A function of the request: the same topology, collective and config
     give the same schedule (and simulated time) for any pool size and
     whatever the process synthesized before, except where a MILP
-    wall-clock limit ([milp_time_limit]) or [deadline] cuts a solve.
+    wall-clock limit ([milp_time_limit]) or [deadline] cuts a solve.  A
+    model's limit starts when the sub-solver hands it over, before the
+    model is built, and bounds wall time only.
     Each isomorphism class of sub-demands is solved once per call and
     memoized for the rest of that call only — across combinations, the
     coarse and fine steps, and AllReduce's two phases.  The sketch-search

@@ -95,9 +95,8 @@ let wave_width = 8
    time budget between checks. *)
 let lp_iter_limit = 4000
 
-let solve ?(node_limit = 2000) ?(time_limit = infinity)
-    ?(budget = Syccl_util.Budget.unlimited) ?incumbent ?pool ?lower_bound
-    ?(gap = 1e-6) ?(relax = Lp.solve_bounded) m =
+let solve ?(node_limit = 2000) ?(budget = Syccl_util.Budget.unlimited)
+    ?incumbent ?pool ?lower_bound ?(gap = 1e-6) ?(relax = Lp.solve_bounded) m =
   Syccl_util.Trace.with_span ~cat:"milp" "milp.solve"
     ~args:
       [
@@ -108,14 +107,6 @@ let solve ?(node_limit = 2000) ?(time_limit = infinity)
   @@ fun () ->
   Syccl_util.Faultpoint.slow "milp.slow";
   let t_solve = Syccl_util.Clock.now () in
-  (* One deadline for nodes and pivots alike: [time_limit] narrows the
-     caller's budget rather than running its own clock, so both the wave
-     loop here and the pivot loop in {!Lp} observe the same instant. *)
-  let budget =
-    if time_limit < infinity then
-      Syccl_util.Budget.sub ~seconds:time_limit budget
-    else budget
-  in
   let vs = vars_array m in
   let obj = objective m in
   let base_problem =

@@ -48,7 +48,6 @@ type result = {
 
 val solve :
   ?node_limit:int ->
-  ?time_limit:float ->
   ?budget:Syccl_util.Budget.t ->
   ?incumbent:float array ->
   ?pool:Syccl_util.Pool.t ->
@@ -62,10 +61,11 @@ val solve :
     node or time budget expired with an incumbent in hand whose optimality
     was not proven; [Limit] means the budget expired with no solution.
     Each relaxation may take at most 4000 simplex pivots, so a single LP
-    cannot blow the time budget between checks.  [time_limit]
-    and [budget] share one deadline: the limit narrows the budget, and the
-    combined deadline is checked both between branch-and-bound waves and —
-    via {!Lp}'s pivot loop — between simplex pivots, so an expiring or
+    cannot blow the time budget between checks.  [budget] is the only
+    wall-clock input: a caller that wants a per-model limit narrows its
+    own budget with {!Syccl_util.Budget.sub} before the call.  Its
+    deadline is checked both between branch-and-bound waves and — via
+    {!Lp}'s pivot loop — between simplex pivots, so an expiring or
     cancelled budget stops the solve within a pivot-check stride.
 
     [lower_bound] is an external certificate on the optimal objective

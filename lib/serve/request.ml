@@ -71,7 +71,11 @@ let faults t = Topology.faults t.topo
    punctured topology) rather than the name, the exact demand, and the
    schedule-affecting config knobs; [domains] is excluded because
    synthesis is deterministic in pool width, so requests differing only in
-   parallelism are the same work. *)
+   parallelism are the same work.  The canonical string keeps its v1
+   layout, so keys already stored in registry entries and audit trails
+   still match: the positions of E1, R1, R2, the MILP variable cap and
+   the shape and combination caps — config fields in v1, constants of the
+   synthesizer now — hold a fixed segment of their values. *)
 let key t =
   let c = t.config in
   let canon =
@@ -81,10 +85,8 @@ let key t =
       t.coll.Collective.root t.coll.Collective.peer t.coll.Collective.size
       c.Synthesizer.fast_only
       (match c.Synthesizer.deadline with None -> -1.0 | Some d -> d)
-      c.Synthesizer.e1 c.Synthesizer.e2 c.Synthesizer.r1 c.Synthesizer.r2
-      c.Synthesizer.milp_var_budget c.Synthesizer.milp_time_limit
-      c.Synthesizer.milp_node_limit c.Synthesizer.max_shapes
-      c.Synthesizer.max_combos
+      3.0 c.Synthesizer.e2 0.20 8 1100 c.Synthesizer.milp_time_limit
+      c.Synthesizer.milp_node_limit 18 64
   in
   Digest.to_hex (Digest.string canon)
 

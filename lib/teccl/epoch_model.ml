@@ -56,16 +56,18 @@ let edge_timing spec c k =
 
 let port_group spec k = (Topology.dim spec.topo spec.edges.(k).edim).Topology.port_group
 
-(* A schedule quantized onto the epoch grid: its makespan, every transfer
-   in replay (priority) order with its edge index and start epoch, and the
-   epoch from which each chunk is held at each GPU ([max_int]: never). *)
+(* A schedule quantized onto the epoch grid: the schedule, its makespan,
+   every transfer in replay (priority) order with its edge index and start
+   epoch, and the epoch from which each chunk is held at each GPU
+   ([max_int]: never). *)
 type grid = {
+  sched : Schedule.t;
   makespan : int;
   starts : (Schedule.xfer * int * int) list;
   hold : int array array;
 }
 
-let grid_replay spec (sched : Schedule.t) =
+let replay spec (sched : Schedule.t) =
   let n = Topology.num_gpus spec.topo in
   let nd = Topology.num_dims spec.topo in
   let npg =
@@ -114,11 +116,10 @@ let grid_replay spec (sched : Schedule.t) =
     (fun c (m : Schedule.chunk_meta) ->
       List.iter (fun v -> if hold.(c).(v) = max_int then fits := false) m.wanted)
     spec.chunks;
-  if !fits then Some { makespan = !makespan; starts = List.rev !starts; hold }
+  if !fits then Some { sched; makespan = !makespan; starts = List.rev !starts; hold }
   else None
 
-let replay spec sched =
-  Option.map (fun g -> g.makespan) (grid_replay spec sched)
+let epochs g = g.makespan
 
 (* Variable layout helpers. *)
 type layout = {
@@ -433,26 +434,23 @@ let growth_bound spec =
   float_of_int !best
 
 (* Encode a schedule replayed on the epoch grid as a variable assignment. *)
-let incumbent_assignment spec layout (sched : Schedule.t) =
-  match grid_replay spec sched with
-  | None -> None
-  | Some g ->
-      let x = Array.make (Milp.num_vars layout.model) 0.0 in
-      List.iter
-        (fun ((xf : Schedule.xfer), k, start) ->
-          match layout.send.(xf.chunk).(k) with
-          | -1 -> ()
-          | first -> if start < layout.send_epochs.(xf.chunk).(k) then x.(first + start) <- 1.0)
-        g.starts;
+let incumbent_assignment layout g =
+  let x = Array.make (Milp.num_vars layout.model) 0.0 in
+  List.iter
+    (fun ((xf : Schedule.xfer), k, start) ->
+      match layout.send.(xf.chunk).(k) with
+      | -1 -> ()
+      | first -> if start < layout.send_epochs.(xf.chunk).(k) then x.(first + start) <- 1.0)
+    g.starts;
+  Array.iteri
+    (fun c has_c ->
       Array.iteri
-        (fun c has_c ->
-          Array.iteri
-            (fun v has_cv ->
-              Array.iteri (fun e id -> if g.hold.(c).(v) <= e then x.(id) <- 1.0) has_cv)
-            has_c)
-        layout.has;
-      x.(layout.t_var) <- float_of_int g.makespan;
-      if Milp.check_feasible layout.model x then Some x else None
+        (fun v has_cv ->
+          Array.iteri (fun e id -> if g.hold.(c).(v) <= e then x.(id) <- 1.0) has_cv)
+        has_c)
+    layout.has;
+  x.(layout.t_var) <- float_of_int g.makespan;
+  if Milp.check_feasible layout.model x then Some x else None
 
 let extract spec layout x =
   let xfers = ref [] in
@@ -477,21 +475,18 @@ let extract spec layout x =
   in
   { Schedule.chunks = spec.chunks; xfers }
 
-let solve ?(node_limit = 400) ?(time_limit = 60.0)
-    ?(budget = Syccl_util.Budget.unlimited) ?incumbent ?pool ?relax spec =
+let solve ?(node_limit = 400) ?(budget = Syccl_util.Budget.unlimited)
+    ?incumbent ?pool ?relax spec =
+  let incumbent =
+    Option.bind incumbent (fun g -> if g.makespan <= spec.horizon then Some g else None)
+  in
+  let replayed = Option.map (fun g -> (g.sched, g.makespan)) incumbent in
   let layout = build spec in
   (* The caller's variable budget is an estimate; refuse outsized models
      outright rather than letting one LP eat the whole time budget. *)
-  if Milp.num_vars layout.model > 3000 then
-    match incumbent with
-    | Some s -> (match replay spec s with Some e -> Some (s, e) | None -> None)
-    | None -> None
+  if Milp.num_vars layout.model > 3000 then replayed
   else
-  let warm =
-    match incumbent with
-    | None -> None
-    | Some s -> incumbent_assignment spec layout s
-  in
+  let warm = Option.bind incumbent (incumbent_assignment layout) in
   (* The MILP objective is T minus the arrival tie-break, which is bounded
      below 0.1 by construction of [eps] in [build]; so the flow relaxation
      certifies at [⌈T_flow⌉ - 0.1] with a gap of 0.5 — any incumbent whose
@@ -505,17 +500,14 @@ let solve ?(node_limit = 400) ?(time_limit = 60.0)
     if epochs > 0.0 then Some (Float.ceil (epochs -. 1e-6) -. 0.1) else None
   in
   let result =
-    Milp.solve ~node_limit ~time_limit ~budget ?incumbent:warm ?pool
-      ?lower_bound ~gap:0.5 ?relax layout.model
+    Milp.solve ~node_limit ~budget ?incumbent:warm ?pool ?lower_bound
+      ~gap:0.5 ?relax layout.model
   in
   match result.Milp.status with
   | Milp.Optimal | Milp.Feasible ->
       let sched = extract spec layout result.Milp.x in
       let epochs = int_of_float (Float.round result.Milp.x.(layout.t_var)) in
       Some (sched, epochs)
-  | Milp.Infeasible | Milp.Unbounded | Milp.Limit -> (
+  | Milp.Infeasible | Milp.Unbounded | Milp.Limit ->
       (* Budget ran out with nothing better: fall back to the incumbent. *)
-      match (incumbent, warm) with
-      | Some s, Some _ -> (
-          match replay spec s with Some e -> Some (s, e) | None -> None)
-      | _ -> None)
+      if Option.is_none warm then None else replayed

@@ -27,10 +27,18 @@ val all_edges : Syccl_topology.Topology.t -> edge array
 (** All ordered peer pairs in every dimension (the TECCL edge set), keeping
     for each pair only the lowest dimension that connects it. *)
 
-val replay : spec -> Syccl_sim.Schedule.t -> int option
+type grid
+(** A schedule with its transfers' start epochs and chunks' arrivals. *)
+
+val replay : spec -> Syccl_sim.Schedule.t -> grid option
 (** Quantize an existing schedule onto the epoch grid by replaying its
-    transfers in priority order; returns the number of epochs it needs, or
-    [None] if it does not fit in the horizon or uses a forbidden edge. *)
+    transfers in priority order, or [None] if it does not fit in the
+    horizon or uses a forbidden edge.  The horizon only decides whether it
+    fits, so a grid replayed at a long horizon to size a model serves as
+    {!solve}'s incumbent at any horizon its {!epochs} fit. *)
+
+val epochs : grid -> int
+(** The number of epochs the quantized schedule needs. *)
 
 val var_count : spec -> int
 (** Number of MILP variables the model would have (for cost reporting). *)
@@ -55,19 +63,22 @@ val growth_bound : spec -> float
 
 val solve :
   ?node_limit:int ->
-  ?time_limit:float ->
   ?budget:Syccl_util.Budget.t ->
-  ?incumbent:Syccl_sim.Schedule.t ->
+  ?incumbent:grid ->
   ?pool:Syccl_util.Pool.t ->
   ?relax:Syccl_milp.Lp.solver ->
   spec ->
   (Syccl_sim.Schedule.t * int) option
 (** Build and solve the model; returns the schedule (priorities = start
     epochs) and its makespan in epochs, or [None] if infeasible within the
-    horizon / budget and no incumbent fits.  Models over 3000 variables are
-    refused without solving (the incumbent, if any, is replayed instead);
-    [budget] is threaded into {!Syccl_milp.Milp.solve} so an expiring
-    deadline interrupts branch-and-bound between pivots.
+    horizon / budget and no incumbent fits.  [incumbent] is a {!replay} on
+    a spec that differs from this one at most in its horizon; it is ignored
+    unless its {!epochs} fit.  Models over 3000 variables are refused
+    without solving (the incumbent's schedule, if any, is returned
+    instead).  [budget] (default unlimited) is threaded into
+    {!Syccl_milp.Milp.solve} so an expiring deadline interrupts
+    branch-and-bound between pivots; a per-model limit is a
+    {!Syccl_util.Budget.sub} of the caller's budget.
 
     The {!flow_bound} relaxation and the {!growth_bound} are combined
     (their max) once per call and passed to branch-and-bound as a pruning

@@ -15,10 +15,11 @@ type cand = {
   dim : int;
 }
 
-let solve ?rng ?(restrict = All) ?(holder_beam = 6) ?(congestion_weight = 1.0)
-    ?(time_budget = infinity) ?(budget = Syccl_util.Budget.unlimited) topo
+(* Candidate senders examined per (chunk, destination) by the beam. *)
+let holder_beam = 6
+
+let solve ?rng ?(restrict = All) ?(budget = Syccl_util.Budget.unlimited) topo
     (chunks : Schedule.chunk_meta array) =
-  let wall0 = Syccl_util.Clock.now () in
   let n = Topology.num_gpus topo in
   let nd = Topology.num_dims topo in
   let npg =
@@ -68,9 +69,7 @@ let solve ?rng ?(restrict = All) ?(holder_beam = 6) ?(congestion_weight = 1.0)
     let arrive = start +. Link.transfer_time link s in
     (* The port time consumed is charged as a congestion penalty so the
        greedy prefers relaying over repeatedly crossing scarce links. *)
-    let score =
-      arrive +. (congestion_weight *. Link.busy_time link s) +. jitter ()
-    in
+    let score = arrive +. Link.busy_time link s +. jitter () in
     { score; start; arrive; c; u; v; dim = d }
   in
   (* Beamed holders for a chunk: the few senders likeliest to finish first. *)
@@ -129,10 +128,7 @@ let solve ?rng ?(restrict = All) ?(holder_beam = 6) ?(congestion_weight = 1.0)
   let remaining = ref (Array.fold_left (fun a l -> a + List.length l) 0 unmet) in
   let timed_out = ref false in
   while !remaining > 0 && not !timed_out do
-    if
-      Syccl_util.Clock.now () -. wall0 > time_budget
-      || Syccl_util.Budget.expired budget
-    then timed_out := true
+    if Syccl_util.Budget.expired budget then timed_out := true
     else begin
       let best = ref None in
       let consider cand =

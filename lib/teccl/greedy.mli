@@ -14,19 +14,17 @@ type restriction = All | Groups of (int * int) list
 val solve :
   ?rng:Syccl_util.Xrand.t ->
   ?restrict:restriction ->
-  ?holder_beam:int ->
-  ?congestion_weight:float ->
-  ?time_budget:float ->
   ?budget:Syccl_util.Budget.t ->
   Syccl_topology.Topology.t ->
   Syccl_sim.Schedule.chunk_meta array ->
   Syccl_sim.Schedule.t option
 (** Synthesize a schedule delivering every gather chunk to its [wanted] GPUs
-    (reduce chunks must be mirrored by the caller).  [holder_beam] bounds how
-    many candidate senders are examined per (chunk, destination) (default 6);
-    [congestion_weight] scales the port-time penalty added to a candidate's
-    finish time, which steers the search away from re-crossing scarce links
-    (default 1.0; 0 recovers pure earliest-finish); [rng] perturbs
-    tie-breaking for restart diversity.  Returns [None] when [time_budget]
-    (seconds) or the shared [budget] deadline expires before the demand is
-    met; both are checked once per committed transfer. *)
+    (reduce chunks must be mirrored by the caller).  Each step examines at
+    most six candidate senders per (chunk, destination), plus the holders
+    in the destination's most local group, and scores a candidate by its
+    finish time plus the port time it consumes, which steers the search
+    away from re-crossing scarce links; [rng] perturbs tie-breaking for
+    restart diversity.  Returns [None] when [budget] (default unlimited)
+    expires or is cancelled before the demand is met; it is checked once
+    per committed transfer.  A caller that wants a time box of its own
+    passes a fresh {!Syccl_util.Budget.create}. *)

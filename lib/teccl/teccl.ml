@@ -34,9 +34,8 @@ let fastest_link topo =
   done;
   !best
 
-let synthesize_phase ~rng ~restarts ~budget ~milp_var_budget ~e_value topo coll =
+let synthesize_phase ~rng ~restarts ~budget ~milp_var_budget topo coll =
   let metas, mirrored = phase_metas coll in
-  let left () = Syccl_util.Budget.remaining budget in
   let rec attempts k best =
     if k = 0 || Syccl_util.Budget.expired budget then best
     else begin
@@ -61,17 +60,14 @@ let synthesize_phase ~rng ~restarts ~budget ~milp_var_budget ~e_value topo coll 
          for the from-scratch solver. *)
       let link = fastest_link topo in
       let size = metas.(0).Schedule.size in
-      let tau, _ = Tau.select ~link ~size ~e:e_value in
+      let tau, _ = Tau.select ~link ~size ~e:1.0 (* Appendix A.3 *) in
       let edges = Epoch_model.all_edges topo in
-      let probe =
-        { Epoch_model.topo; chunks = metas; edges; tau; horizon = 1 }
+      let spec =
+        { Epoch_model.topo; chunks = metas; edges; tau; horizon = max_int / 2 }
       in
-      let horizon =
-        match Epoch_model.replay { probe with horizon = max_int / 2 } greedy_sched with
-        | Some e -> e
-        | None -> 0
-      in
-      let spec = { probe with horizon } in
+      let grid = Epoch_model.replay spec greedy_sched in
+      let horizon = match grid with Some g -> Epoch_model.epochs g | None -> 0 in
+      let spec = { spec with horizon } in
       let nvars =
         if horizon = 0 then max_int
         else
@@ -81,10 +77,14 @@ let synthesize_phase ~rng ~restarts ~budget ~milp_var_budget ~e_value topo coll 
             + (Topology.num_gpus topo * (horizon + 1)))
       in
       let solved =
-        if horizon > 0 && nvars <= milp_var_budget && left () > 0.0 then begin
+        if
+          horizon > 0 && nvars <= milp_var_budget
+          && Syccl_util.Budget.remaining budget > 0.0
+        then begin
           match
-            Epoch_model.solve ~time_limit:(Float.min 60.0 (left ())) ~budget
-              ~incumbent:greedy_sched spec
+            Epoch_model.solve
+              ~budget:(Syccl_util.Budget.sub ~seconds:60.0 budget)
+              ?incumbent:grid spec
           with
           | Some (refined, _) ->
               let pick =
@@ -106,13 +106,9 @@ let synthesize_phase ~rng ~restarts ~budget ~milp_var_budget ~e_value topo coll 
         (fun (s, used) -> ((if mirrored then Schedule.reverse s else s), used))
         solved
 
-let synthesize ?(seed = 42) ?restarts ?(time_budget = 600.0)
-    ?(budget = Syccl_util.Budget.unlimited) ?(milp_var_budget = 2500)
-    ?(e_value = 1.0) topo coll =
+let synthesize ?(seed = 42) ?restarts ?(budget = Syccl_util.Budget.unlimited)
+    ?(milp_var_budget = 2500) topo coll =
   let t0 = Syccl_util.Clock.now () in
-  (* [time_budget] narrows the caller's deadline; both land on the same
-     Clock.now axis so every stage below observes one shared instant. *)
-  let budget = Syccl_util.Budget.sub ~seconds:time_budget budget in
   let restarts =
     match restarts with
     | Some r -> r
@@ -124,8 +120,7 @@ let synthesize ?(seed = 42) ?restarts ?(time_budget = 600.0)
     | [] -> Some (List.rev acc, used)
     | phase :: rest -> (
         match
-          synthesize_phase ~rng ~restarts ~budget ~milp_var_budget ~e_value topo
-            phase
+          synthesize_phase ~rng ~restarts ~budget ~milp_var_budget topo phase
         with
         | None -> None
         | Some (s, u) -> go (s :: acc) (used || u) rest)

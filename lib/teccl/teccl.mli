@@ -7,7 +7,7 @@
     TECCL's published fallback — greedy per-interval heuristics — kicks in,
     which is what this implementation uses: multi-restart greedy
     earliest-finish construction, plus an epoch-MILP refinement whenever the
-    model stays under a variable budget.  A configurable wall-clock budget
+    model stays under a variable budget.  The caller's {!Syccl_util.Budget.t}
     reproduces the paper's timeout behaviour (Fig. 15b). *)
 
 type outcome = {
@@ -20,20 +20,20 @@ type outcome = {
 val synthesize :
   ?seed:int ->
   ?restarts:int ->
-  ?time_budget:float ->
   ?budget:Syccl_util.Budget.t ->
   ?milp_var_budget:int ->
-  ?e_value:float ->
   Syccl_topology.Topology.t ->
   Syccl_collective.Collective.t ->
   outcome
 (** Synthesize schedules for every phase of the collective.  [restarts]
-    defaults to 3 below 64 GPUs and 1 above; [time_budget] (default 600 s)
-    bounds the whole synthesis; [budget] is an externally shared deadline /
-    cancellation token that [time_budget] further narrows — both are
-    observed by the greedy inner loop and the epoch MILP; [milp_var_budget]
-    (default 2500) bounds the size of models handed to the MILP; [e_value]
-    is the epoch-accuracy knob (default 1.0). *)
+    defaults to 3 below 64 GPUs and 1 above; [budget] (default unlimited)
+    bounds the whole synthesis — its deadline and cancellation token are
+    observed by the greedy inner loop and the epoch MILP, and a phase whose
+    greedy runs it cuts short before any completes yields [schedules =
+    None]; each epoch model is further capped at 60 s inside it;
+    [milp_var_budget] (default 2500) bounds the
+    size of models handed to the MILP.  The models use the epoch-accuracy
+    knob E = 1.0 (Appendix A.3). *)
 
 val busbw :
   ?blocks:int ->

@@ -32,7 +32,7 @@ let detach t =
 
 let cancel t = Atomic.set t.token true
 let cancelled t = Atomic.get t.token
-let expired t = Atomic.get t.token || Clock.now () > t.dl
+let expired t = Atomic.get t.token || Clock.now () >= t.dl
 let has_deadline t = t.dl < infinity
 
 let remaining t =

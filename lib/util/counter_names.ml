@@ -25,7 +25,6 @@ let exact =
     "lp.reinverts";
     "lp.warm_hits";
     "lp.warm_misses";
-    "lp_dense.pivots_per_solve";
     "milp.flow_certified";
     "milp.nodes";
     "milp.nodes_per_solve";

@@ -196,8 +196,9 @@ let teccl_reduce_mirrored () =
   let topo = switch 5 in
   let coll = Collective.make ~root:4 Collective.Reduce ~n:5 ~size:9224.76 in
   let outcome =
-    Syccl_teccl.Teccl.synthesize ~seed:12345 ~restarts:1 ~time_budget:10.0 topo
-      coll
+    Syccl_teccl.Teccl.synthesize ~seed:12345 ~restarts:1
+      ~budget:(Syccl_util.Budget.create ~seconds:10.0 ())
+      topo coll
   in
   match outcome.Syccl_teccl.Teccl.schedules with
   | None -> Alcotest.fail "teccl timed out on a 5-GPU reduce"

@@ -217,7 +217,7 @@ let test_epoch_oversized_refusal () =
     (Epoch_model.var_count spec > 3000);
   check Alcotest.bool "refused without incumbent" true
     (Epoch_model.solve spec = None);
-  match Epoch_model.solve ~incumbent spec with
+  match Epoch_model.solve ?incumbent:(Epoch_model.replay spec incumbent) spec with
   | None -> Alcotest.fail "oversized model must replay the incumbent"
   | Some (s, epochs) ->
       check Alcotest.int "incumbent schedule returned" (Schedule.num_xfers incumbent)
@@ -233,7 +233,11 @@ let test_epoch_limit_round_trip () =
   let spec, incumbent = group_spec topo ~dim:0 ~group:0 ~tau:1e-4 ~horizon:24 in
   check Alcotest.bool "model is small enough to solve" true
     (Epoch_model.var_count spec <= 3000);
-  match Epoch_model.solve ~node_limit:0 ~incumbent spec with
+  match
+    Epoch_model.solve ~node_limit:0
+      ?incumbent:(Epoch_model.replay spec incumbent)
+      spec
+  with
   | None -> Alcotest.fail "Limit with incumbent must yield a schedule"
   | Some (s, epochs) ->
       check Alcotest.bool "epochs within horizon" true

@@ -7,7 +7,6 @@ module Builders = Syccl_topology.Builders
 module Link = Syccl_topology.Link
 module Schedule = Syccl_sim.Schedule
 module Sim = Syccl_sim.Sim
-module Greedy = Syccl_teccl.Greedy
 module Tau = Syccl_teccl.Tau
 module Subsolver = Syccl.Subsolver
 module Xrand = Syccl_util.Xrand
@@ -95,21 +94,6 @@ let solve_demand_satisfies_prop =
              && T.group_of topo ~dim:x.dim x.src = d.Subsolver.d_group)
            xfers)
 
-let greedy_zero_congestion_prop =
-  QCheck.Test.make ~name:"greedy with zero congestion weight stays valid" ~count:20
-    QCheck.(int_range 2 8)
-    (fun k ->
-      let topo = Builders.h800 ~servers:2 in
-      let metas =
-        Array.init k (fun i ->
-            { Schedule.size = 1e5; mode = `Gather; initial = [ i ];
-              wanted = List.filter (fun v -> v <> i) (List.init 16 (fun v -> v));
-              tag = i })
-      in
-      match Greedy.solve ~congestion_weight:0.0 topo metas with
-      | None -> false
-      | Some s -> satisfies metas s.Schedule.xfers)
-
 let tau_busy_at_least_one_prop =
   QCheck.Test.make ~name:"epoch timing is at least one epoch" ~count:100
     QCheck.(pair (float_range 0.1 10.0) (int_range 10 28))
@@ -137,7 +121,6 @@ let test_transfer_rejects_mismatched () =
 let suite =
   [
     qtest solve_demand_satisfies_prop;
-    qtest greedy_zero_congestion_prop;
     qtest tau_busy_at_least_one_prop;
     ("transfer rejects mismatched", `Quick, test_transfer_rejects_mismatched);
   ]

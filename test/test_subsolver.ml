@@ -167,6 +167,43 @@ let test_milp_refine_never_worse () =
   in
   Alcotest.(check bool) "refinement never hurts" true (refined <= fast +. 1e-12)
 
+(* The per-model MILP limit is a sub-budget that [solve_demand] narrows
+   from the caller's: at a zero limit the refinement must stop at its
+   greedy incumbent, although an ample limit improves on it here, and the
+   caller's budget must stay unmarked (the model's own limit is not the
+   caller's deadline). *)
+let test_milp_zero_limit_keeps_greedy () =
+  let topo =
+    Builders.single_switch ~n:5
+      ~link:(Syccl_topology.Link.make ~alpha:2e-6 ~gbps:100.0) ()
+  in
+  let demand =
+    {
+      Subsolver.d_stage = 0;
+      d_dim = 0;
+      d_group = 0;
+      entries =
+        [ { Subsolver.chunk = 0; e_size = 1e5; e_srcs = [ 0 ]; e_dsts = [ 1; 2; 3; 4 ] } ];
+    }
+  in
+  let chunks =
+    [| { Schedule.size = 1e5; mode = `Gather; initial = [ 0 ]; wanted = [ 1; 2; 3; 4 ];
+         tag = 0 } |]
+  in
+  let time_of xfers = Sim.time topo { Schedule.chunks; xfers } in
+  let refine time_limit =
+    Subsolver.Milp_refine { e = 3.0; var_budget = 2000; node_limit = 60; time_limit }
+  in
+  let greedy = Subsolver.solve_demand Subsolver.Fast_only topo demand in
+  let ample = Subsolver.solve_demand (refine 60.0) topo demand in
+  check Alcotest.bool "an ample limit beats the greedy" true
+    (time_of ample < time_of greedy -. 1e-12);
+  let budget = Syccl_util.Budget.create ~seconds:60.0 () in
+  let cut = Subsolver.solve_demand ~budget (refine 0.0) topo demand in
+  check Alcotest.bool "a zero limit returns the greedy incumbent" true (cut = greedy);
+  check Alcotest.bool "caller's budget unmarked" false
+    (Syccl_util.Budget.degraded budget)
+
 let suite =
   [
     ("plan chunk table", `Quick, test_plan_chunk_table);
@@ -176,4 +213,5 @@ let suite =
     ("assemble validates", `Quick, test_assemble_validates);
     ("scatter plan routes chunks", `Quick, test_scatter_plan_routes_chunks);
     ("milp refine never worse", `Slow, test_milp_refine_never_worse);
+    ("milp zero limit keeps greedy", `Quick, test_milp_zero_limit_keeps_greedy);
   ]

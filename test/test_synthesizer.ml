@@ -73,13 +73,6 @@ let test_gpu_count_mismatch () =
     (Invalid_argument "Synthesizer: collective/topology GPU count mismatch")
     (fun () -> ignore (Synth.synthesize ~config:fast topo (C.make C.AllGather ~n:8 ~size:1e6)))
 
-let test_r2_limits_candidates () =
-  (* A tiny R2 must still produce a valid result. *)
-  let topo = Builders.h800 ~servers:2 in
-  let cfg = { fast with r2 = 1 } in
-  let o = Synth.synthesize ~config:cfg topo (C.make C.AllGather ~n:16 ~size:1e6) in
-  Alcotest.(check bool) "valid with r2=1" true (o.Synth.busbw > 0.0)
-
 let env_domains =
   match Sys.getenv_opt "SYCCL_TEST_DOMAINS" with
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 4)
@@ -260,7 +253,6 @@ let suite =
     ("broadcast rooted", `Quick, test_broadcast_rooted);
     ("breakdown accounted", `Quick, test_breakdown_accounted);
     ("gpu count mismatch", `Quick, test_gpu_count_mismatch);
-    ("r2 limits candidates", `Quick, test_r2_limits_candidates);
     ("parallel domains same result", `Quick, test_parallel_domains_same_result);
     ("repeat synthesize hits cache", `Quick, test_repeat_synthesize_hits_cache);
     ("sweep reuses subsolves", `Quick, test_sweep_reuses_subsolves);

@@ -74,6 +74,17 @@ let test_greedy_unreachable_times_out () =
   check Alcotest.bool "unreachable -> None" true
     (Greedy.solve ~restrict:(Greedy.Groups [ (0, 0) ]) topo metas = None)
 
+let test_greedy_expired_budget () =
+  (* A budget that is expired when the greedy starts stops it before its
+     first committed transfer, although the demand is satisfiable. *)
+  let topo = flat 4 in
+  let metas = metas_of (C.make C.AllGather ~n:4 ~size:1e5) in
+  check Alcotest.bool "satisfiable without a budget" true
+    (Greedy.solve topo metas <> None);
+  check Alcotest.bool "expired budget -> None" true
+    (Greedy.solve ~budget:(Syccl_util.Budget.create ~seconds:0.0 ()) topo metas
+    = None)
+
 let test_tau_bandwidth_constraint () =
   (* τ must be r·βs with r or 1/r integral. *)
   let link = Link.make ~alpha:2e-6 ~gbps:50.0 in
@@ -119,7 +130,11 @@ let test_epoch_model_small_broadcast () =
     { Epoch_model.topo; chunks = metas; edges = Epoch_model.all_edges topo;
       tau; horizon = 3 }
   in
-  match Epoch_model.solve ~node_limit:400 ~time_limit:30.0 spec with
+  match
+    Epoch_model.solve ~node_limit:400
+      ~budget:(Syccl_util.Budget.create ~seconds:30.0 ())
+      spec
+  with
   | None -> Alcotest.fail "feasible"
   | Some (s, epochs) ->
       Alcotest.(check bool) "optimal doubling" true (epochs <= 2);
@@ -147,7 +162,7 @@ let test_epoch_model_replay_respects_horizon () =
       tau; horizon = 10 }
   in
   (match Epoch_model.replay spec s with
-  | Some e -> check Alcotest.int "serial sends take 3 epochs" 3 e
+  | Some g -> check Alcotest.int "serial sends take 3 epochs" 3 (Epoch_model.epochs g)
   | None -> Alcotest.fail "replay fits");
   check Alcotest.bool "too-short horizon rejected" true
     (Epoch_model.replay { spec with horizon = 2 } s = None)
@@ -177,7 +192,11 @@ let test_teccl_timeout () =
   let topo = Builders.h800 ~servers:8 in
   let coll = C.make C.AllToAll ~n:64 ~size:1e9 in
   (* A tiny budget must produce a clean timeout, like Fig. 15b. *)
-  let o = Teccl.synthesize ~restarts:1 ~time_budget:0.01 topo coll in
+  let o =
+    Teccl.synthesize ~restarts:1
+      ~budget:(Syccl_util.Budget.create ~seconds:0.01 ())
+      topo coll
+  in
   check Alcotest.bool "timed out" true (o.Teccl.schedules = None)
 
 let teccl_beats_or_matches_naive_prop =
@@ -213,7 +232,11 @@ let test_epoch_model_port_capacity () =
     { Epoch_model.topo; chunks = metas; edges = Epoch_model.all_edges topo;
       tau; horizon = 3 }
   in
-  match Epoch_model.solve ~node_limit:400 ~time_limit:30.0 spec with
+  match
+    Epoch_model.solve ~node_limit:400
+      ~budget:(Syccl_util.Budget.create ~seconds:30.0 ())
+      spec
+  with
   | None -> Alcotest.fail "feasible"
   | Some (s, epochs) ->
       Alcotest.(check bool) "serialized on egress" true (epochs >= 2);
@@ -239,6 +262,7 @@ let suite =
     ("greedy doubles broadcast", `Quick, test_greedy_single_chunk_broadcast_doubles);
     ("greedy restriction", `Quick, test_greedy_restriction_respected);
     ("greedy unreachable", `Quick, test_greedy_unreachable_times_out);
+    ("greedy expired budget", `Quick, test_greedy_expired_budget);
     ("tau bandwidth constraint", `Quick, test_tau_bandwidth_constraint);
     ("tau latency target", `Quick, test_tau_latency_target);
     ("tau monotone in E", `Quick, test_tau_larger_e_larger_tau);
