@@ -66,9 +66,10 @@ let domains_arg =
     & opt int 1
     & info [ "d"; "domains" ] ~docv:"N"
         ~doc:
-          "Parallel solver instances.  Served by a persistent work-stealing \
-           domain pool that is spawned once per level and reused across \
-           calls.")
+          "Parallel solver instances: the most domains one parallel map \
+           of the call may use.  Every width shares one set of worker \
+           domains, at most one fewer than the host's cores, kept across \
+           calls.  At 1 the maps run sequentially.")
 
 (* --- the registry ------------------------------------------------------- *)
 

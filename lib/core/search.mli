@@ -40,7 +40,7 @@ val instantiate :
   shape:Sketch.shape ->
   load:float array array ->
   Sketch.t option
-(** Re-instantiate a sketch shape, choosing destinations that steer future
+(** Re-instantiate a sketch shape, choosing destinations that steer later
     sources toward the least-loaded groups (replication mapping, §4.2 step 1).
     [load] is the accumulated per-(dim, group) workload of previously
     instantiated replicas; it is {e not} modified.  Returns [None] when the

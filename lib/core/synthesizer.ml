@@ -759,52 +759,28 @@ let synthesize_with ~config ~budget topo coll =
 let synthesize ?(config = default_config) topo coll =
   synthesize_with ~config ~budget:(budget_of_config config) topo coll
 
-(* Parallel sweep driver: synthesize a whole size/collective series
-   concurrently on the same pool the per-call solves use.  Awaiting helps,
-   so the nested parallel regions inside each synthesize cannot deadlock;
-   with [config.domains <= 1] this degrades to a sequential List.map.
-   Every element is a standalone synthesis (each attempt has its own
-   sub-solve memo), so its outcome cannot depend on its siblings, on pool
-   size or on worker scheduling.
+(* Parallel sweep: synthesize a whole size/collective series as one
+   map on the pool the per-call solves use, so the nested class maps and
+   node waves inside each synthesize share its workers; with
+   [config.domains <= 1] this is a sequential map.  Every element is a
+   standalone synthesis (each attempt has its own sub-solve memo), so its
+   outcome cannot depend on its siblings, on the width or on worker
+   scheduling.
 
-   Fault isolation: every element runs the full degradation ladder inside
-   its own task, under its own {!Budget.detach}ed budget (shared sweep
-   deadline, independent token), so a crashing or expiring element
-   degrades — it does not abort its siblings or the sweep.  An element
-   whose task dies outside the ladder (e.g. the ["pool.crash"] fault
-   point fires before the ladder runs) surfaces as [Error]. *)
+   Fault isolation: every element runs the full degradation ladder under
+   its own {!Budget.detach}ed budget (shared sweep deadline, independent
+   token), so a crashing or expiring element degrades — it does not abort
+   its siblings or the sweep.  An element that dies outside the ladder
+   (e.g. the ["pool.crash"] fault point fires before the ladder runs)
+   surfaces as [Error]. *)
 let synthesize_all_results ?(config = default_config) topo colls =
-  match colls with
-  | [] -> []
-  | [ coll ] -> (
-      match synthesize ~config topo coll with
-      | o -> [ Ok o ]
-      | exception e -> [ Error (Printexc.to_string e) ])
-  | _ ->
-      let pool = Pool.get config.domains in
-      let sweep_budget = budget_of_config config in
-      let jobs =
-        List.map
-          (fun coll ->
-            let budget = Budget.detach sweep_budget in
-            ( Pool.submit pool (fun () ->
-                  synthesize_with ~config ~budget topo coll),
-              budget ))
-          colls
-      in
-      List.map
-        (fun (fut, budget) ->
-          let r =
-            match Pool.await fut with
-            | o -> Ok o
-            | exception e -> Error (Printexc.to_string e)
-          in
-          (* The element is finished either way; cancel its budget so any
-             helper still holding it bails instead of burning the rest of
-             the deadline. *)
-          Budget.cancel budget;
-          r)
-        jobs
+  let sweep_budget = budget_of_config config in
+  Pool.map_result (Pool.get config.domains)
+    (fun coll ->
+      synthesize_with ~config ~budget:(Budget.detach sweep_budget) topo coll)
+    (Array.of_list colls)
+  |> Array.to_list
+  |> List.map (Result.map_error Printexc.to_string)
 
 let synthesize_all ?(config = default_config) topo colls =
   List.map2

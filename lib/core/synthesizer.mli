@@ -11,8 +11,9 @@ type config = {
       (** seconds per fine-step model (coarse: at most 2), each a
           {!Syccl_util.Budget.sub} of the call's budget *)
   domains : int;
-      (** parallel solver instances (§5.3); served by a persistent
-          work-stealing pool ({!Syccl_util.Pool}) spawned once per level *)
+      (** parallel solver instances (§5.3): the width of the call's
+          {!Syccl_util.Pool} maps, which share one process-wide worker
+          set across all widths; at 1 every map is sequential *)
   blocks : int;  (** simulator pipelining blocks *)
   deadline : float option;
       (** wall-clock budget in seconds for one {!synthesize} call (or one
@@ -128,15 +129,15 @@ val synthesize_all :
   Syccl_topology.Topology.t ->
   Syccl_collective.Collective.t list ->
   outcome list
-(** Synthesize a series (e.g. a size sweep) concurrently on the persistent
-    pool, preserving order.  With [config.domains <= 1] this is a
-    sequential map.
+(** Synthesize a series (e.g. a size sweep) as one {!Syccl_util.Pool} map
+    of width [config.domains], preserving order.  With
+    [config.domains <= 1] this is a sequential map.
 
     Every element's outcome equals a standalone {!synthesize} of it,
     independent of its siblings, pool size and worker scheduling.
 
-    Fault isolation: each element runs the degradation ladder inside its
-    own pool task under its own budget (the sweep shares one
+    Fault isolation: each element runs the degradation ladder as its own
+    map element under its own budget (the sweep shares one
     [config.deadline] window), so a crashing or expiring element yields a
     degraded outcome for that element only — siblings and the sweep keep
     going.  If an element dies before the ladder can catch it (e.g. the

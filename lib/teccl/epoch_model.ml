@@ -293,7 +293,9 @@ let var_count spec =
    arrives by the makespan and port slots are exclusive — so ⌈T_flow⌉
    lower-bounds the integral makespan.  One small LP per MILP; the bound
    both prunes branch-and-bound nodes and certifies incumbents that reach
-   it (see {!Syccl_milp.Milp.solve}). *)
+   it (see {!Syccl_milp.Milp.solve}).  [None] (no bound) when a demanded
+   pair has no in-edge within the horizon, the relaxation would exceed
+   [flow_vars_limit] variables, or its LP does not solve cleanly. *)
 let flow_vars_limit = 2000
 
 let flow_bound spec =

@@ -43,24 +43,6 @@ val epochs : grid -> int
 val var_count : spec -> int
 (** Number of MILP variables the model would have (for cost reporting). *)
 
-val flow_bound : spec -> float option
-(** Optimum of the multi-commodity-flow relaxation: each demanded
-    (chunk, GPU) pair fractionally splits across its in-edges, paying
-    latency against the makespan and busy time against port capacity.
-    ⌈result⌉ lower-bounds the integral makespan.  [None] when a demanded
-    pair has no in-edge within the horizon, when the relaxation would
-    exceed 2000 variables, or when its LP does not solve cleanly — the
-    MILP simply proceeds without a bound. *)
-
-val growth_bound : spec -> float
-(** Copy-growth ("doubling") lower bound in epochs: a chunk's holder count
-    can at most multiply by 1 + ⌈lat/busy⌉ per window of [lat] epochs, so
-    a single-source broadcast needs at least lat·⌈log(holders)⌉ epochs no
-    matter how ports are scheduled.  0.0 when no chunk yields a bound
-    (reduce-mode chunks and mixed-timing edge sets are skipped).
-    Complements {!flow_bound}: flow is tight under port saturation, growth
-    under propagation depth. *)
-
 val solve :
   ?node_limit:int ->
   ?budget:Syccl_util.Budget.t ->
@@ -80,8 +62,10 @@ val solve :
     branch-and-bound between pivots; a per-model limit is a
     {!Syccl_util.Budget.sub} of the caller's budget.
 
-    The {!flow_bound} relaxation and the {!growth_bound} are combined
-    (their max) once per call and passed to branch-and-bound as a pruning
+    Two lower bounds on the makespan are combined (their max) once per
+    call: the optimum of the multi-commodity-flow relaxation, tight under
+    port saturation, and the copy-growth ("doubling") bound, tight under
+    propagation depth.  Branch-and-bound gets the result as a pruning
     floor and early-exit certificate (gap 0.5: an incumbent whose makespan
     reaches the bound's ceiling is returned as optimal without also
     proving the arrival tie-break optimal) — a tree-optimal broadcast

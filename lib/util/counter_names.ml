@@ -15,7 +15,6 @@ let exact =
   [
     (* lib/util/pool *)
     "pool.queue_latency_s";
-    "pool.steals";
     "pool.task_raised";
     "pool.tasks";
     (* lib/milp *)

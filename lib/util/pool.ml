@@ -1,104 +1,45 @@
-(* Persistent work-stealing domain pool.
+(* Map-only domain pool: one process-wide worker set serving one list of
+   open map jobs (see pool.mli for the contract).
 
-   Workers are spawned once per parallelism level and reused for every
-   subsequent parallel region (SyCCL calls into the pool 4+ times per
-   synthesis phase and once per size in a sweep; spawn/join per call costs
-   milliseconds that dominate small solves).  Each worker owns a deque:
-   the owner pushes and pops at the back (LIFO, good locality for nested
-   regions), thieves take from the front (FIFO, oldest-first).  External
-   submissions land in a shared injector queue.
+   A job is an array of elements and a cursor; whoever runs elements
+   claims them with one fetch-and-add on the cursor.  The calling domain
+   owns its job and needs no admission; other domains (the workers, and
+   owners of other jobs waiting for their last elements) take one of the
+   job's [width - 1] seats and then run its elements until none is left.
+   A domain waiting on its job only ever runs elements that are already
+   published, never blocks on one, so nested maps cannot deadlock. *)
 
-   Determinism: results are written by index and exceptions are reported
-   for the lowest failing index, so [map]'s observable behaviour does not
-   depend on how many workers ran or who stole what. *)
+let max_width = 32
+let hw = max 1 (Domain.recommended_domain_count ())
 
-type task = unit -> unit
+(* The seats a job admits besides its caller: 0 runs maps sequentially. *)
+type t = int
 
-(* --- per-worker deque -------------------------------------------------- *)
-
-type deque = {
-  dlock : Mutex.t;
-  mutable front : task list; (* oldest first: thieves pop here *)
-  mutable back : task list; (* newest first: owner pushes/pops here *)
+type job = {
+  run : int -> unit; (* runs element [i], storing its result; never raises *)
+  len : int;
+  cursor : int Atomic.t; (* next index to claim *)
+  finished : int Atomic.t; (* elements whose result is stored *)
+  seats : int Atomic.t;
 }
 
-let deque_create () = { dlock = Mutex.create (); front = []; back = [] }
+(* Open jobs, newest first, so a helper finishes nested work before it
+   starts new outer elements.  Written under [lock], read without it;
+   workers sleep on [work] while no open job admits them. *)
+let jobs : job list Atomic.t = Atomic.make []
+let lock = Mutex.create ()
+let work = Condition.create ()
+let live = ref true
+let workers : unit Domain.t list ref = ref []
+let nworkers = Atomic.make 0
 
-let deque_push d t =
-  Mutex.lock d.dlock;
-  d.back <- t :: d.back;
-  Mutex.unlock d.dlock
-
-let deque_pop_own d =
-  Mutex.lock d.dlock;
-  let r =
-    match d.back with
-    | t :: rest ->
-        d.back <- rest;
-        Some t
-    | [] -> (
-        match d.front with
-        | t :: rest ->
-            d.front <- rest;
-            Some t
-        | [] -> None)
-  in
-  Mutex.unlock d.dlock;
-  r
-
-let deque_steal d =
-  Mutex.lock d.dlock;
-  let r =
-    match d.front with
-    | t :: rest ->
-        d.front <- rest;
-        Some t
-    | [] -> (
-        match List.rev d.back with
-        | t :: rest ->
-            d.back <- [];
-            d.front <- rest;
-            Some t
-        | [] -> None)
-  in
-  Mutex.unlock d.dlock;
-  r
-
-(* --- pool -------------------------------------------------------------- *)
-
-type t = {
-  psize : int; (* total parallelism, submitting caller included *)
-  deques : deque array; (* one per worker domain *)
-  injector : task Queue.t; (* external submissions; guarded by ilock *)
-  ilock : Mutex.t;
-  work_cond : Condition.t;
-  pending : int Atomic.t; (* submitted-but-unclaimed tasks *)
-  active : int Atomic.t; (* claimed tasks currently executing *)
-  mutable live : bool;
-  mutable doms : unit Domain.t array;
-  c_tasks : int Atomic.t;
-  c_steals : int Atomic.t;
-}
-
-let size pool = pool.psize
-
-(* Which pool/worker the current domain belongs to, for deque routing and
-   helping.  A domain belongs to at most one pool. *)
-let ctx_key : (t * int) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let my_worker pool =
-  match !(Domain.DLS.get ctx_key) with
-  | Some (p, i) when p == pool -> Some i
-  | _ -> None
-
-(* Time from submission to execution start: scheduling delay as seen by the
-   work, including time spent parked in a deque or the injector. *)
+(* Time from a job's publication to the claim of each of its elements:
+   scheduling delay as seen by the work. *)
 let h_queue_latency = Counters.histogram "pool.queue_latency_s"
 
-(* Crash isolation: every task exception is recorded (counter + trace
-   instant with backtrace) at the point of capture, so a raising task is
-   diagnosable even when the caller converts it into a per-element
+(* Crash isolation: every element exception is recorded (counter + trace
+   instant with backtrace) at the point of capture, so a raising element
+   is diagnosable even when the caller turns it into a per-element
    fallback instead of letting it propagate. *)
 let c_task_raised = Counters.int_counter "pool.task_raised"
 
@@ -111,271 +52,118 @@ let record_task_exn e =
         ("backtrace", Printexc.get_backtrace ());
       ]
 
-let submit_task pool task =
-  let t_sub = Clock.now () in
-  let task () =
-    Counters.record h_queue_latency (Clock.elapsed t_sub);
-    Trace.with_span ~cat:"pool" "pool.task" task
-  in
-  (match my_worker pool with
-  | Some i -> deque_push pool.deques.(i) task
-  | None ->
-      Mutex.lock pool.ilock;
-      Queue.push task pool.injector;
-      Mutex.unlock pool.ilock);
-  Atomic.incr pool.pending;
-  Mutex.lock pool.ilock;
-  Condition.signal pool.work_cond;
-  Mutex.unlock pool.ilock
-
-(* Claim one task: own deque, then injector, then steal round-robin. *)
-let try_claim pool self =
-  let own =
-    match self with Some i -> deque_pop_own pool.deques.(i) | None -> None
-  in
-  let claimed =
-    match own with
-    | Some _ -> own
-    | None -> (
-        Mutex.lock pool.ilock;
-        let inj =
-          if Queue.is_empty pool.injector then None
-          else Some (Queue.pop pool.injector)
-        in
-        Mutex.unlock pool.ilock;
-        match inj with
-        | Some _ -> inj
-        | None ->
-            let nw = Array.length pool.deques in
-            let start = match self with Some i -> i + 1 | None -> 0 in
-            let rec scan k =
-              if k >= nw then None
-              else
-                let i = (start + k) mod nw in
-                if self = Some i then scan (k + 1)
-                else
-                  match deque_steal pool.deques.(i) with
-                  | Some t ->
-                      Atomic.incr pool.c_steals;
-                      Some t
-                  | None -> scan (k + 1)
-            in
-            scan 0)
-  in
-  (match claimed with
-  | Some _ ->
-      Atomic.decr pool.pending;
-      Atomic.incr pool.c_tasks
-  | None -> ());
-  claimed
-
-let run_one pool self =
-  match try_claim pool self with
-  | Some task ->
-      Atomic.incr pool.active;
-      Fun.protect ~finally:(fun () -> Atomic.decr pool.active) task;
-      true
-  | None -> false
-
-let worker_loop pool i =
-  Domain.DLS.get ctx_key := Some (pool, i);
-  (* A task that lets an exception escape (a harness bug or an injected
-     fault outside the task's own catch) must not kill the worker domain:
-     the pool would silently lose capacity for the rest of the process.
-     Record and keep serving. *)
-  let run_guarded () =
-    try run_one pool (Some i)
-    with e ->
+let protect f x =
+  match
+    Faultpoint.inject "pool.crash";
+    f x
+  with
+  | v -> Ok v
+  | exception e ->
       record_task_exn e;
-      true
-  in
-  let rec go () =
-    if run_guarded () then go ()
-    else begin
-      Mutex.lock pool.ilock;
-      while pool.live && Atomic.get pool.pending = 0 do
-        Condition.wait pool.work_cond pool.ilock
-      done;
-      let continue = pool.live || Atomic.get pool.pending > 0 in
-      Mutex.unlock pool.ilock;
-      if continue then go ()
-    end
-  in
-  go ()
+      Error e
 
-let create ~domains () =
-  let psize = max 1 domains in
-  (* Never run more worker domains than the hardware has cores: extra
-     domains add no throughput but enlarge every minor-GC stop-the-world
-     barrier, which taxes the sequential phases (search, probing) that
-     dominate between parallel regions.  [psize] keeps the requested
-     logical width; only the spawned workers are clamped. *)
-  let hw = max 1 (Domain.recommended_domain_count ()) in
-  let nw = min (psize - 1) (hw - 1) in
-  let pool =
+let rec drain job =
+  let i = Atomic.fetch_and_add job.cursor 1 in
+  if i < job.len then begin
+    job.run i;
+    Atomic.incr job.finished;
+    drain job
+  end
+
+(* A seat in the newest open job that has an element left to claim and a
+   seat left to give. *)
+let join () =
+  let rec admit job =
+    let s = Atomic.get job.seats in
+    s > 0 && (Atomic.compare_and_set job.seats s (s - 1) || admit job)
+  in
+  List.find_opt
+    (fun job -> Atomic.get job.cursor < job.len && admit job)
+    (Atomic.get jobs)
+
+let rec worker () =
+  let rec next () =
+    match join () with
+    | Some _ as job -> job
+    | None ->
+        if !live then begin
+          Condition.wait work lock;
+          next ()
+        end
+        else None
+  in
+  match Mutex.protect lock next with
+  | Some job ->
+      drain job;
+      worker ()
+  | None -> ()
+
+let run_job seats len run =
+  let job =
     {
-      psize;
-      deques = Array.init nw (fun _ -> deque_create ());
-      injector = Queue.create ();
-      ilock = Mutex.create ();
-      work_cond = Condition.create ();
-      pending = Atomic.make 0;
-      active = Atomic.make 0;
-      live = true;
-      doms = [||];
-      c_tasks = Counters.int_counter "pool.tasks";
-      c_steals = Counters.int_counter "pool.steals";
+      run;
+      len;
+      cursor = Atomic.make 0;
+      finished = Atomic.make 0;
+      seats = Atomic.make seats;
     }
   in
-  pool.doms <- Array.init nw (fun i -> Domain.spawn (fun () -> worker_loop pool i));
-  pool
+  Mutex.protect lock (fun () ->
+      Atomic.set jobs (job :: Atomic.get jobs);
+      Condition.broadcast work);
+  drain job;
+  let rec wait idle =
+    if Atomic.get job.finished < len then
+      match join () with
+      | Some other ->
+          drain other;
+          wait 0
+      | None ->
+          if idle < 256 then Domain.cpu_relax () else Unix.sleepf 5e-5;
+          wait (idle + 1)
+  in
+  wait 0;
+  Mutex.protect lock (fun () ->
+      Atomic.set jobs (List.filter (fun j -> j != job) (Atomic.get jobs)))
 
-let shutdown pool =
-  Mutex.lock pool.ilock;
-  let was_live = pool.live in
-  pool.live <- false;
-  Condition.broadcast pool.work_cond;
-  Mutex.unlock pool.ilock;
-  if was_live then Array.iter Domain.join pool.doms;
-  pool.doms <- [||]
+let map_result seats f xs =
+  let n = Array.length xs in
+  if seats = 0 || n <= 1 then Array.map (protect f) xs
+  else begin
+    let results = Array.make n (Error Exit) in
+    let t0 = Clock.now () in
+    let traced x =
+      Counters.record h_queue_latency (Clock.elapsed t0);
+      Trace.with_span ~cat:"pool" "pool.task" (fun () -> f x)
+    in
+    Counters.add "pool.tasks" n;
+    run_job seats n (fun i -> results.(i) <- protect traced xs.(i));
+    results
+  end
 
-(* --- persistent registry ----------------------------------------------- *)
-
-(* One pool per requested parallelism level, spawned on first use and kept
-   for the life of the process (joined at exit).  Levels stay small (the
-   CLI/bench use 1..8), so keeping a pool per level is cheaper than trying
-   to gate a shared pool to an exact concurrency bound. *)
-
-let max_parallelism = 32
-let registry : (int, t) Hashtbl.t = Hashtbl.create 8
-let reg_lock = Mutex.create ()
+let map pool f xs =
+  Array.map (function Ok v -> v | Error e -> raise e) (map_result pool f xs)
 
 let get domains =
-  let d = max 1 (min max_parallelism domains) in
-  Mutex.lock reg_lock;
-  let p =
-    match Hashtbl.find_opt registry d with
-    | Some p -> p
-    | None ->
-        let p = create ~domains:d () in
-        Hashtbl.replace registry d p;
-        p
-  in
-  Mutex.unlock reg_lock;
-  p
+  let d = max 1 (min max_width domains) in
+  let want = min d hw - 1 in
+  if Atomic.get nworkers < want then
+    Mutex.protect lock (fun () ->
+        while Atomic.get nworkers < want do
+          workers := Domain.spawn worker :: !workers;
+          Atomic.incr nworkers
+        done);
+  if hw > 1 then d - 1 else 0
 
 let () =
   at_exit (fun () ->
-      Mutex.lock reg_lock;
-      Hashtbl.iter (fun _ p -> shutdown p) registry;
-      Hashtbl.reset registry;
-      Mutex.unlock reg_lock)
+      Mutex.protect lock (fun () ->
+          live := false;
+          Condition.broadcast work);
+      List.iter Domain.join !workers)
 
-(* Counters.reset is only race-free while no pool task is queued or
-   executing; let it verify that (see Counters.reset's tear semantics). *)
+(* Counters.reset is only race-free while no element is queued or
+   running; let it verify that (see Counters.reset's tear semantics). *)
 let () =
   Counters.register_quiescence_check "pool.quiescent" (fun () ->
-      Mutex.lock reg_lock;
-      let ok =
-        Hashtbl.fold
-          (fun _ p acc ->
-            acc && Atomic.get p.pending = 0 && Atomic.get p.active = 0)
-          registry true
-      in
-      Mutex.unlock reg_lock;
-      ok)
-
-(* --- futures ----------------------------------------------------------- *)
-
-type 'a state = Pending | Done of 'a | Raised of exn
-type 'a future = { st : 'a state Atomic.t; fpool : t }
-
-let submit pool f =
-  let st = Atomic.make Pending in
-  submit_task pool (fun () ->
-      Atomic.set st
-        (try
-           Faultpoint.inject "pool.crash";
-           Done (f ())
-         with e ->
-           record_task_exn e;
-           Raised e));
-  { st; fpool = pool }
-
-(* Awaiting helps: a worker (or the caller) blocked on a future executes
-   other pool tasks instead of sleeping, so nested parallel regions cannot
-   deadlock the fixed-size pool. *)
-let await fut =
-  let self = my_worker fut.fpool in
-  let rec go idle =
-    match Atomic.get fut.st with
-    | Done v -> v
-    | Raised e -> raise e
-    | Pending ->
-        if run_one fut.fpool self then go 0
-        else begin
-          if idle < 256 then Domain.cpu_relax () else Unix.sleepf 5e-5;
-          go (idle + 1)
-        end
-  in
-  go 0
-
-(* --- deterministic chunked map ----------------------------------------- *)
-
-let map pool f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else if Array.length pool.deques = 0 || n = 1 then Array.map f xs
-  else begin
-    let results = Array.make n None in
-    (* Lowest failing index wins, so the raised exception matches what a
-       sequential [Array.map] would raise, independent of scheduling. *)
-    let err : (int * exn) option Atomic.t = Atomic.make None in
-    let rec record i e =
-      match Atomic.get err with
-      | Some (j, _) when j <= i -> ()
-      | cur -> if not (Atomic.compare_and_set err cur (Some (i, e))) then record i e
-    in
-    let width = Array.length pool.deques + 1 in
-    let nchunks = if n <= 4 * width then n else 4 * width in
-    let remaining = Atomic.make nchunks in
-    let self = my_worker pool in
-    for c = 0 to nchunks - 1 do
-      let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
-      submit_task pool (fun () ->
-          for j = lo to hi - 1 do
-            match
-              Faultpoint.inject "pool.crash";
-              f xs.(j)
-            with
-            | v -> results.(j) <- Some v
-            | exception e ->
-                record_task_exn e;
-                record j e
-          done;
-          Atomic.decr remaining)
-    done;
-    (* The caller is a full participant: it chews through chunks (its own
-       and, transitively, any other pool work) until this map completes. *)
-    let idle = ref 0 in
-    while Atomic.get remaining > 0 do
-      if run_one pool self then idle := 0
-      else begin
-        if !idle < 256 then Domain.cpu_relax () else Unix.sleepf 5e-5;
-        incr idle
-      end
-    done;
-    match Atomic.get err with
-    | Some (_, e) -> raise e
-    | None -> Array.map (function Some v -> v | None -> assert false) results
-  end
-
-(* --- level-addressed map ------------------------------------------------ *)
-
-let num_recommended () = max 1 (Domain.recommended_domain_count () - 1)
-
-let map_domains ?domains f xs =
-  let domains =
-    match domains with Some d -> max 1 d | None -> num_recommended ()
-  in
-  map (get domains) f xs
+      match Atomic.get jobs with [] -> true | _ -> false)

@@ -1,70 +1,48 @@
-(** Persistent work-stealing domain pool.
+(** Map-only domain pool on one process-wide worker set.
 
-    SyCCL's synthesis hot path runs 4+ parallel regions per phase and one
-    per size in a sweep; spawning and joining domains each time wastes
-    milliseconds per region.  A pool spawns its [domains - 1] worker
-    domains once and reuses them: each worker owns a deque (owner LIFO,
-    thieves FIFO), external submissions go through a shared injector, and
-    idle workers steal.  Counters ["pool.tasks"] and ["pool.steals"] in
-    {!Counters} record activity.
+    Every parallel region in SyCCL is an index-parallel map: the
+    isomorphism classes of a phase (§5.3), the candidates of a screening
+    step, a MILP node wave, the elements of a sweep.  So {!map} is the
+    only primitive.  All widths share one set of worker domains, grown on
+    demand by {!get} and joined at process exit; a process that used
+    widths 2, 3, 4 and 8 keeps [min 8 hw - 1] workers ([hw] = the
+    hardware's domain count), never one set per width.
 
-    Determinism: [map] writes results by index and reports the exception
-    of the {e lowest} failing index, so observable behaviour is identical
-    for every pool size.  [await] helps (executes other pool tasks while
-    blocked), so nested parallel regions cannot deadlock.
+    A map publishes its elements as one job on a shared list.  Elements
+    are claimed one at a time with an atomic fetch-and-add, by the
+    calling domain and by at most [width - 1] other domains, so a width
+    bounds the parallelism of the call that holds it.  The caller runs
+    elements until none is left to claim, then helps other open jobs
+    until its own in-flight elements finish, so nested maps (a sweep
+    element's class map, a class's MILP node waves) cannot deadlock.
 
-    Crash isolation: a task exception is confined to its own future (or
-    its own [map] call) — it never kills a worker domain or a sibling
-    task.  Every captured task exception is counted in
+    Determinism: results are written by index, so what a map returns —
+    and which exception {!map} raises — does not depend on the width or
+    on which domain ran which element.
+
+    Crash isolation: every element runs inside the ["pool.crash"]
+    {!Faultpoint} probe at every width, one-element maps included.  An
+    exception an element raises is confined to that element, counted in
     ["pool.task_raised"] and recorded as a ["pool.task_raised"] trace
-    instant carrying the exception text and backtrace.  The
-    ["pool.crash"] {!Faultpoint} probe fires inside the protected task
-    region, so injected crashes exercise exactly this containment. *)
+    instant with its backtrace.  A width-1 map adds only that probe to
+    [Array.map]: no lock, no trace span, no queue-latency sample.  Wider
+    maps trace each element as a ["pool.task"] span, sample the time from
+    publication to claim in the ["pool.queue_latency_s"] histogram, and
+    add their element count to ["pool.tasks"]. *)
 
 type t
-type 'a future
+(** A width: how many domains one map may use, its caller included. *)
 
 val get : int -> t
-(** [get domains] returns the process-wide persistent pool with logical
-    parallelism [domains] (clamped to 32), spawning its workers on first
-    use and reusing them for every later call.  The calling domain counts
-    toward the width, and the number of spawned workers is additionally
-    clamped to [Domain.recommended_domain_count () - 1]: domains beyond
-    the hardware add no throughput but tax every minor GC with a larger
-    stop-the-world barrier.  Pools are joined automatically at process
-    exit. *)
+(** [get d] is width [d], clamped to [1..32] (and to 1 on a single-core
+    host).  It first grows the shared worker set to [min d hw - 1]
+    domains: domains beyond the hardware add no throughput but tax every
+    minor GC with a larger stop-the-world barrier. *)
 
-val create : domains:int -> unit -> t
-(** Build a private pool (prefer {!get}).  With [domains <= 1] — or on a
-    single-core machine — no worker domains are spawned and every
-    operation degrades to sequential execution, with results (including
-    raised exceptions) unchanged. *)
-
-val shutdown : t -> unit
-(** Stop and join the workers.  Idempotent.  Only needed for pools from
-    {!create}; registry pools are shut down at exit. *)
-
-val size : t -> int
-(** Total parallelism of the pool, submitting caller included. *)
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Schedule a task.  From a worker of the same pool the task goes to its
-    own deque (LIFO); otherwise to the shared injector. *)
-
-val await : 'a future -> 'a
-(** Wait for completion, executing other pool tasks meanwhile.  Re-raises
-    the task's exception. *)
+val map_result : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
+(** Order-preserving map that runs every element and returns, in each
+    position, the element's value or the exception it raised. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel map, chunked over the pool.  Semantically
-    equal to [Array.map] — including which exception is raised — for any
-    pool size. *)
-
-val num_recommended : unit -> int
-(** Recommended parallelism for this machine (hardware domains minus the
-    caller). *)
-
-val map_domains : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_domains ~domains f xs] is [map (get domains) f xs]: a parallel map
-    on the persistent pool of that level ({!num_recommended} when
-    omitted). *)
+(** {!map_result}, raising the exception of the lowest failing index —
+    the one [Array.map] would raise.  Every element still runs. *)

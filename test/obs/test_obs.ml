@@ -76,14 +76,15 @@ let test_export_round_trip () =
 let test_spans_nested_under_pool () =
   let pool = Pool.get test_domains in
   Trace.enable ();
-  let futures =
-    List.init 16 (fun i ->
-        Pool.submit pool (fun () ->
-            Trace.with_span "task.outer" (fun () ->
-                Trace.with_span "task.mid" (fun () ->
-                    Trace.with_span "task.leaf" (fun () -> i * i)))))
+  let squares =
+    Pool.map pool
+      (fun i ->
+        Trace.with_span "task.outer" (fun () ->
+            Trace.with_span "task.mid" (fun () ->
+                Trace.with_span "task.leaf" (fun () -> i * i))))
+      (Array.init 16 Fun.id)
   in
-  let total = List.fold_left (fun acc f -> acc + Pool.await f) 0 futures in
+  let total = Array.fold_left ( + ) 0 squares in
   Trace.disable ();
   check Alcotest.int "work done" 1240 total;
   let spans =
@@ -92,7 +93,7 @@ let test_spans_nested_under_pool () =
         e.Trace.dur >= 0.0 && e.Trace.pid = Trace.synthesis_pid)
       (Trace.events ())
   in
-  (* pool.task wraps each submitted closure, so every depth is recorded. *)
+  (* Every element records all three depths, whichever domain ran it. *)
   let count name =
     List.length (List.filter (fun (e : Trace.event) -> e.Trace.name = name) spans)
   in
@@ -185,14 +186,12 @@ let test_hist_percentiles_match_stats () =
   in
   let h = Counters.histogram "test.obs.latency" in
   let pool = Pool.get test_domains in
-  (* Record from several pool tasks: the cells are domain-safe. *)
-  let chunks = [ 0; 1; 2; 3; 4 ] in
-  List.map
+  (* Record from several pool elements: the cells are domain-safe. *)
+  Pool.map pool
     (fun c ->
-      Pool.submit pool (fun () ->
-          List.iteri (fun i v -> if i mod 5 = c then Counters.record h v) samples))
-    chunks
-  |> List.iter Pool.await;
+      List.iteri (fun i v -> if i mod 5 = c then Counters.record h v) samples)
+    [| 0; 1; 2; 3; 4 |]
+  |> ignore;
   check Alcotest.int "all samples recorded" 500 (Counters.hist_count h);
   List.iter
     (fun p ->
@@ -480,11 +479,10 @@ let test_reset_zeroes_cells () =
     (not (List.mem_assoc "test.obs.resettable" (Counters.hist_snapshot ())))
 
 let test_reset_with_quiesced_pool () =
-  (* The supported pattern: drain the pool, then reset.  The pool's
+  (* The supported pattern: let the map return, then reset.  The pool's
      registered quiescence check must pass even with SYCCL_DEBUG set. *)
   let pool = Pool.get test_domains in
-  List.init 32 (fun i -> Pool.submit pool (fun () -> i))
-  |> List.iter (fun f -> ignore (Pool.await f));
+  ignore (Pool.map pool Fun.id (Array.init 32 Fun.id));
   Unix.putenv "SYCCL_DEBUG" "1";
   Fun.protect
     ~finally:(fun () -> Unix.putenv "SYCCL_DEBUG" "")

@@ -1,10 +1,11 @@
-(* Tests for the persistent work-stealing domain pool, the bounded cache
-   and the monotonic clock. *)
+(* Tests for the map-only domain pool, the bounded cache and the
+   monotonic clock. *)
 
 module Pool = Syccl_util.Pool
 module Cache = Syccl_util.Cache
 module Counters = Syccl_util.Counters
 module Clock = Syccl_util.Clock
+module Faultpoint = Syccl_util.Faultpoint
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -16,7 +17,9 @@ let env_domains =
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
   | None -> 2
 
-(* --- Pool.map_domains determinism ------------------------------------ *)
+let map d f xs = Pool.map (Pool.get d) f xs
+
+(* --- determinism --------------------------------------------------------- *)
 
 let test_map_deterministic () =
   let xs = Array.init 257 (fun i -> i) in
@@ -24,17 +27,15 @@ let test_map_deterministic () =
   let expect = Array.map f xs in
   List.iter
     (fun d ->
-      let ys = Pool.map_domains ~domains:d f xs in
       check
         Alcotest.(array int)
         (Printf.sprintf "map at domains=%d" d)
-        expect ys)
-    [ 1; 2; 8; env_domains ]
+        expect (map d f xs))
+    [ 1; 2; 3; 4; 8; env_domains ]
 
 let test_map_empty_and_singleton () =
-  check Alcotest.(array int) "empty" [||] (Pool.map_domains ~domains:4 succ [||]);
-  check Alcotest.(array int) "singleton" [| 8 |]
-    (Pool.map_domains ~domains:4 succ [| 7 |])
+  check Alcotest.(array int) "empty" [||] (map 4 succ [||]);
+  check Alcotest.(array int) "singleton" [| 8 |] (map 4 succ [| 7 |])
 
 (* The lowest failing index's exception must win, as in Array.map, at every
    pool size. *)
@@ -44,7 +45,7 @@ let test_map_exn_lowest_index () =
   in
   List.iter
     (fun d ->
-      match Pool.map_domains ~domains:d f (Array.init 20 (fun i -> i)) with
+      match map d f (Array.init 20 (fun i -> i)) with
       | exception Failure m ->
           check Alcotest.string
             (Printf.sprintf "lowest-index exn at domains=%d" d)
@@ -53,18 +54,16 @@ let test_map_exn_lowest_index () =
           Alcotest.failf "domains=%d: wrong exception %s" d
             (Printexc.to_string e)
       | _ -> Alcotest.failf "domains=%d: expected exception" d)
-    [ 1; 8 ]
+    [ 1; 3; 8 ]
 
-(* Nested parallel regions must not deadlock the fixed-size pool: blocked
-   awaiters help execute other tasks. *)
+(* Nested maps must not deadlock: a caller whose elements are all claimed
+   helps run other open jobs instead of blocking. *)
 let test_map_nested_no_deadlock () =
   let outer = Array.init 6 (fun i -> i) in
   let ys =
-    Pool.map_domains ~domains:4
+    map 4
       (fun i ->
-        let inner = Pool.map_domains ~domains:4 (fun j -> (i * 100) + j)
-            (Array.init 32 (fun j -> j))
-        in
+        let inner = map 4 (fun j -> (i * 100) + j) (Array.init 32 Fun.id) in
         Array.fold_left ( + ) 0 inner)
       outer
   in
@@ -79,41 +78,86 @@ let map_matches_array_map_prop =
     QCheck.(pair (int_range 1 8) (list small_int))
     (fun (domains, xs) ->
       let a = Array.of_list xs in
-      Pool.map_domains ~domains (fun x -> (2 * x) + 1) a
-      = Array.map (fun x -> (2 * x) + 1) a)
+      map domains (fun x -> (2 * x) + 1) a = Array.map (fun x -> (2 * x) + 1) a)
 
-(* --- submit / await ----------------------------------------------------- *)
+(* --- map_result ---------------------------------------------------------- *)
 
-let test_submit_await () =
-  let pool = Pool.get env_domains in
-  let futures =
-    List.init 50 (fun i -> Pool.submit pool (fun () -> i * i))
-  in
-  List.iteri
-    (fun i fut -> check Alcotest.int "future value" (i * i) (Pool.await fut))
-    futures;
-  (* Awaiting out of submission order also works. *)
-  let a = Pool.submit pool (fun () -> "a")
-  and b = Pool.submit pool (fun () -> "b") in
-  check Alcotest.string "later first" "b" (Pool.await b);
-  check Alcotest.string "earlier after" "a" (Pool.await a)
+let test_map_result_values () =
+  Pool.map_result (Pool.get env_domains) (fun i -> i * i) (Array.init 50 Fun.id)
+  |> Array.iteri (fun i r ->
+         match r with
+         | Ok v -> check Alcotest.int "element value" (i * i) v
+         | Error e ->
+             Alcotest.failf "element %d raised %s" i (Printexc.to_string e))
 
-let test_await_reraises () =
-  let pool = Pool.get env_domains in
-  let fut = Pool.submit pool (fun () -> failwith "task-exn") in
-  (match Pool.await fut with
-  | exception Failure m -> check Alcotest.string "re-raised" "task-exn" m
-  | _ -> Alcotest.fail "expected exception");
-  (* A failed future keeps re-raising on every await. *)
-  match Pool.await fut with
-  | exception Failure m -> check Alcotest.string "sticky" "task-exn" m
-  | _ -> Alcotest.fail "expected exception again"
+(* Each element keeps its own exception; the others keep their values. *)
+let test_map_result_errors () =
+  let f i = if i mod 3 = 0 then failwith (Printf.sprintf "at%d" i) else i in
+  List.iter
+    (fun d ->
+      Pool.map_result (Pool.get d) f (Array.init 10 Fun.id)
+      |> Array.iteri (fun i r ->
+             match r with
+             | Error (Failure m) ->
+                 check Alcotest.string "own error" (Printf.sprintf "at%d" i) m
+             | Error e ->
+                 Alcotest.failf "wrong exception %s" (Printexc.to_string e)
+             | Ok v ->
+                 check Alcotest.bool "fails exactly where f raises" true
+                   (i mod 3 <> 0);
+                 check Alcotest.int "value" i v))
+    [ 1; env_domains ]
 
-let test_pool_get_persistent () =
-  let p1 = Pool.get 3 and p2 = Pool.get 3 in
-  Alcotest.(check bool) "same pool object" true (p1 == p2);
-  check Alcotest.int "size" 3 (Pool.size p1);
-  check Alcotest.int "sequential pool size" 1 (Pool.size (Pool.get 1))
+(* A width bounds how many elements of one map run at once, whatever
+   wider widths the process used before: the worker set is shared. *)
+let test_width_bounds_concurrency () =
+  ignore (map 8 Fun.id (Array.init 16 Fun.id));
+  List.iter
+    (fun d ->
+      let running = Atomic.make 0 and peak = Atomic.make 0 in
+      let f _ =
+        let now = Atomic.fetch_and_add running 1 + 1 in
+        let rec raise_peak () =
+          let p = Atomic.get peak in
+          if now > p && not (Atomic.compare_and_set peak p now) then
+            raise_peak ()
+        in
+        raise_peak ();
+        Unix.sleepf 0.002;
+        Atomic.decr running
+      in
+      ignore (map d f (Array.init 24 Fun.id));
+      check Alcotest.bool
+        (Printf.sprintf "at most %d elements at once (saw %d)" d
+           (Atomic.get peak))
+        true
+        (Atomic.get peak <= d))
+    [ 1; 2; env_domains ]
+
+(* The crash probe guards every element at every width: a width-1 map and
+   a one-element map are not a bare Array.map. *)
+let test_crash_probe_every_width () =
+  Faultpoint.configure "pool.crash:1.0";
+  Fun.protect ~finally:Faultpoint.clear (fun () ->
+      List.iter
+        (fun (d, n) ->
+          let raised0 = Counters.value "pool.task_raised" in
+          let rs = Pool.map_result (Pool.get d) succ (Array.init n Fun.id) in
+          Array.iter
+            (function
+              | Error (Faultpoint.Injected "pool.crash") -> ()
+              | Error e ->
+                  Alcotest.failf "wrong exception %s" (Printexc.to_string e)
+              | Ok _ -> Alcotest.failf "width %d, %d elements: element ran" d n)
+            rs;
+          (match Pool.map (Pool.get d) succ (Array.init n Fun.id) with
+          | exception Faultpoint.Injected "pool.crash" -> ()
+          | _ -> Alcotest.failf "width %d, %d elements: map returned" d n);
+          check (Alcotest.float 0.0)
+            (Printf.sprintf "width %d: every element counted twice" d)
+            (float_of_int (2 * n))
+            (Counters.value "pool.task_raised" -. raised0))
+        [ (1, 5); (1, 1); (env_domains, 1); (env_domains, 6) ])
 
 (* --- bounded cache under concurrency ------------------------------------ *)
 
@@ -125,7 +169,7 @@ let test_cache_concurrent_bounded () =
   and m0 = Counters.value (name ^ ".misses") in
   let calls = 1000 in
   let ys =
-    Pool.map_domains ~domains:8
+    map 8
       (fun i ->
         let k = i mod 64 in
         match Cache.find_opt cache k with
@@ -204,7 +248,7 @@ let test_clock_monotonic () =
 
 let test_clock_monotonic_across_domains () =
   let samples =
-    Pool.map_domains ~domains:4 (fun _ -> Clock.now ()) (Array.init 64 (fun i -> i))
+    map 4 (fun _ -> Clock.now ()) (Array.init 64 (fun i -> i))
   in
   let after = Clock.now () in
   Array.iter
@@ -218,9 +262,10 @@ let suite =
     ("map exn lowest index wins", `Quick, test_map_exn_lowest_index);
     ("nested map no deadlock", `Quick, test_map_nested_no_deadlock);
     qtest map_matches_array_map_prop;
-    ("submit await", `Quick, test_submit_await);
-    ("await re-raises", `Quick, test_await_reraises);
-    ("pool get persistent", `Quick, test_pool_get_persistent);
+    ("map_result values", `Quick, test_map_result_values);
+    ("map_result errors", `Quick, test_map_result_errors);
+    ("width bounds concurrency", `Quick, test_width_bounds_concurrency);
+    ("crash probe at every width", `Quick, test_crash_probe_every_width);
     ("cache concurrent bounded", `Quick, test_cache_concurrent_bounded);
     ("cache eviction keeps recent", `Quick, test_cache_eviction_keeps_recent);
     ("cache weight bound", `Quick, test_cache_weight_bound);

@@ -95,6 +95,29 @@ let test_parallel_domains_same_result () =
   check (Alcotest.float 1e-9) "deterministic at SYCCL_TEST_DOMAINS"
     o1.Synth.time oe.Synth.time
 
+(* The same across widths with MILP on: class maps run nested node waves.
+   Gather on multirail:2x2 at 64 KiB solves 25 MILP models (275 B&B
+   nodes), none of them near the coarse step's time limit. *)
+let test_parallel_domains_same_milp () =
+  let topo = Builders.h800_scaled ~servers:2 ~gpus_per_server:2 in
+  let coll = C.make C.Gather ~n:4 ~size:65536.0 in
+  let run domains =
+    Synth.reset_caches ();
+    Synth.synthesize ~config:{ Synth.default_config with domains } topo coll
+  in
+  let o1 = run 1 in
+  let nodes (o : Synth.outcome) = o.Synth.breakdown.Synth.milp_nodes in
+  Alcotest.(check bool) "MILP ran" true (nodes o1 > 0);
+  List.iter
+    (fun d ->
+      let o = run d in
+      let what = Printf.sprintf " at domains=%d" d in
+      Alcotest.(check bool) ("same schedules" ^ what) true
+        (o.Synth.schedules = o1.Synth.schedules);
+      check (Alcotest.float 0.0) ("same time" ^ what) o1.Synth.time o.Synth.time;
+      check Alcotest.int ("same B&B nodes" ^ what) (nodes o1) (nodes o))
+    [ 4; env_domains ]
+
 (* The sub-solve memo lives for one call: AllReduce's AllGather phase
    reuses its ReduceScatter phase's classes, and the breakdown reports
    exactly the hits the process-wide counter saw during the call. *)
@@ -254,6 +277,7 @@ let suite =
     ("breakdown accounted", `Quick, test_breakdown_accounted);
     ("gpu count mismatch", `Quick, test_gpu_count_mismatch);
     ("parallel domains same result", `Quick, test_parallel_domains_same_result);
+    ("parallel domains same MILP", `Quick, test_parallel_domains_same_milp);
     ("repeat synthesize hits cache", `Quick, test_repeat_synthesize_hits_cache);
     ("sweep reuses subsolves", `Quick, test_sweep_reuses_subsolves);
     ("sweep distinct sizes deterministic", `Quick, test_sweep_distinct_sizes_deterministic);

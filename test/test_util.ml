@@ -183,15 +183,15 @@ let test_stats_percentile_range () =
           ignore (Stats.percentile_opt (-0.1) xs)))
     [ []; [ 1.0; 2.0 ] ]
 
-(* --- Pool.map_domains --- *)
+(* --- Pool.map --- *)
 
 let test_parallel_map_order () =
   let xs = Array.init 101 (fun i -> i) in
-  let ys = Pool.map_domains ~domains:4 (fun x -> x * x) xs in
+  let ys = Pool.map (Pool.get 4) (fun x -> x * x) xs in
   check Alcotest.(array int) "order preserved" (Array.map (fun x -> x * x) xs) ys
 
 let test_parallel_map_exn () =
-  match Pool.map_domains ~domains:3 (fun x -> if x = 5 then failwith "boom" else x)
+  match Pool.map (Pool.get 3) (fun x -> if x = 5 then failwith "boom" else x)
           (Array.init 10 (fun i -> i))
   with
   | exception Failure m -> check Alcotest.string "exn propagated" "boom" m
