@@ -1038,6 +1038,78 @@ let test_memo_replays_counters () =
       ("absent", C.make C.AllGather ~n ~size:1048576.0, "miss.absent");
     ]
 
+(* --- probe and verify judge an entry alike ----------------------------------- *)
+
+(* [body] with the last transfer of its first phase removed. *)
+let drop_transfer body =
+  let update k f = function
+    | Json.Obj kvs ->
+        Json.Obj (List.map (fun (k', v) -> (k', if k' = k then f v else v)) kvs)
+    | j -> j
+  in
+  let drop_last l = List.rev (List.tl (List.rev l)) in
+  Json.to_string
+    (update "schedules"
+       (function
+         | Json.List (s :: rest) ->
+             Json.List
+               (update "xfers" (fun x -> Json.List (drop_last (Json.to_list x))) s
+               :: rest)
+         | j -> j)
+       (Json.of_string body))
+
+(* Damaged entries, each judged by a cold probe of the demand its key
+   addresses, at the stored fidelity, and by verify_entry: the two must
+   agree, and on the expected verdict.  The 16 MiB entry copied under the
+   64 KiB key is corrupt, not a rescaled hit. *)
+let test_probe_agrees_with_verify () =
+  let reg = fresh_registry () in
+  let blocks = 2 in
+  let store ?(factor = 1.0) c =
+    let schedules = Fallback.schedule topo c in
+    Registry.store reg topo c ~blocks
+      ~cost:(factor *. Sim.phases_time ~blocks topo schedules)
+      ~chosen:"fallback" schedules;
+    entry_path reg (Registry.key topo c)
+  in
+  let ag size = C.make C.AllGather ~n ~size in
+  let intact = ag 1048576.0 in
+  ignore (store intact);
+  let truncated = C.make C.AllToAll ~n ~size:65536.0 in
+  let path = store truncated in
+  let body = read_file path in
+  write_file path (String.sub body 0 (String.length body / 2));
+  let slower = ag 262144.0 in
+  ignore (store ~factor:0.5 slower);
+  let invalid = C.make C.ReduceScatter ~n ~size:65536.0 in
+  let path = store invalid in
+  write_file path (drop_transfer (read_file path));
+  let wrong_key = ag 65536.0 in
+  write_file (store wrong_key) (read_file (store (ag 16777216.0)));
+  let agreeing = function
+    | Registry.Entry_ok _ -> "hit.exact"
+    | Registry.Entry_corrupt _ -> "miss.corrupt"
+    | Registry.Entry_invalid _ -> "miss.invalid"
+    | Registry.Entry_slower _ -> "miss.slower"
+    | Registry.Entry_unverified _ -> "unverified"
+  in
+  List.iter
+    (fun (what, c, expected) ->
+      Registry.reset_memo ();
+      let probed = verdict_name (Registry.probe reg ~blocks topo c) in
+      let verified =
+        agreeing (Registry.verify_entry reg ~topo (Registry.key topo c))
+      in
+      check Alcotest.string (what ^ ": probe") expected probed;
+      check Alcotest.string (what ^ ": verify agrees") probed verified)
+    [
+      ("intact", intact, "hit.exact");
+      ("truncated", truncated, "miss.corrupt");
+      ("cost below its simulated time", slower, "miss.slower");
+      ("transfer removed", invalid, "miss.invalid");
+      ("16 MiB entry under the 64 KiB key", wrong_key, "miss.corrupt");
+    ]
+
 (* --- store failures --------------------------------------------------------- *)
 
 let test_store_failure_leaves_no_temp () =
@@ -1123,6 +1195,8 @@ let suite =
       test_memo_follows_entry;
     Alcotest.test_case "memoized probes bump the counters a fresh probe does"
       `Quick test_memo_replays_counters;
+    Alcotest.test_case "probe and verify agree on damaged entries" `Quick
+      test_probe_agrees_with_verify;
     Alcotest.test_case "failed store leaves no temp file" `Quick
       test_store_failure_leaves_no_temp;
   ]
