@@ -440,48 +440,38 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a schedule and report its performance.")
     Term.(const run $ request $ output $ verbose)
 
-(* The stored entry [key] as an outcome Explain.outcome can report, on the
-   topology it was synthesized for: -t's, or -t's punctured by the entry's
-   recorded fault set.  The schedules and chosen description are stored;
-   the cost is re-simulated at the entry's store-time fidelity. *)
+(* The stored entry [key] as an outcome Explain.outcome can report, from
+   the admission [registry verify] makes: the topology it was stored for
+   (-t's, or -t's punctured by the entry's recorded fault set), its
+   schedules, and their cost re-simulated at the entry's store-time
+   fidelity.  A slower entry is still explained, so its stored cost can be
+   read against its simulated one; an entry that fails admission fails
+   with verify's verdict. *)
 let explain_entry reg (req : Request.t) key =
   let fail fmt = Printf.ksprintf (fun m -> failwith ("entry " ^ key ^ ": " ^ m)) fmt in
-  match Registry.load reg key with
-  | Error e -> fail "%s" e
-  | Ok (m, schedules) -> (
-      match Registry.entry_topology req.Request.topo m with
-      | Error e -> fail "%s" e
-      | Ok None ->
-          fail
-            "stored for topology fingerprint %s, which %s does not reach \
-             (even punctured by the entry's faults) — pass the matching -t"
-            m.Registry.m_fingerprint req.Request.topo_name
-      | Ok (Some topo) ->
-          let provenance =
-            Printf.sprintf
-              "registry entry %s in %s (%s, %.0f bytes data%s, stored cost \
-               %.1f us at blocks=%d, schema v%d)"
-              key (Registry.dir reg) m.Registry.m_kind m.Registry.m_size
-              (match m.Registry.m_faults with
-              | "" -> ""
-              | f -> ", faults " ^ f)
-              (m.Registry.m_cost *. 1e6)
-              m.Registry.m_blocks m.Registry.m_schema
-          in
-          let time =
-            S.Sim.phases_time ~blocks:m.Registry.m_blocks topo schedules
-          in
-          let coll =
-            C.make ~root:m.Registry.m_root ~peer:m.Registry.m_peer
-              (C.kind_of_name m.Registry.m_kind)
-              ~n:(T.Topology.num_gpus topo) ~size:m.Registry.m_size
-          in
-          ( topo,
-            { Synth.schedules; time; busbw = C.busbw coll ~time;
-              synth_time = 0.0; breakdown = Synth.zero_breakdown;
-              num_sketches = 0; num_combos = 0; chosen = m.Registry.m_chosen;
-              degraded = Synth.Full; degrade_reason = None },
-            provenance ))
+  match Registry.verify_entry reg ~topo:req.Request.topo key with
+  | Registry.Entry_corrupt e -> fail "%s" e
+  | Registry.Entry_invalid { error; _ } -> fail "fails validation: %s" error
+  | Registry.Entry_unverified m ->
+      fail
+        "stored for topology fingerprint %s, which %s does not reach (even \
+         punctured by the entry's faults) — pass the matching -t"
+        m.Registry.m_fingerprint req.Request.topo_name
+  | Registry.Entry_ok a | Registry.Entry_slower a ->
+      let m = a.Registry.meta in
+      let provenance =
+        Printf.sprintf
+          "registry entry %s in %s (%s, %.0f bytes data%s, stored cost %.1f \
+           us at blocks=%d, schema v%d)"
+          key (Registry.dir reg) m.Registry.m_kind m.Registry.m_size
+          (match m.Registry.m_faults with "" -> "" | f -> ", faults " ^ f)
+          (m.Registry.m_cost *. 1e6)
+          m.Registry.m_blocks m.Registry.m_schema
+      in
+      ( a.Registry.topo,
+        Synth.unsynthesized a.Registry.coll ~chosen:m.Registry.m_chosen
+          ~time:a.Registry.simulated a.Registry.schedules,
+        provenance )
 
 let explain_cmd =
   let run (s, (req : Request.t), _) entry timeline =
@@ -1209,7 +1199,7 @@ let registry_cmd =
         List.iter
           (fun k ->
             match Registry.verify_entry reg ?topo k with
-            | Registry.Entry_ok { simulated } ->
+            | Registry.Entry_ok { simulated; _ } ->
                 Format.printf "%-16s ok (re-simulated %.1f us)@." k
                   (simulated *. 1e6)
             | Registry.Entry_unverified m ->
@@ -1222,7 +1212,7 @@ let registry_cmd =
             | Registry.Entry_invalid { error; _ } ->
                 incr bad;
                 Format.printf "%-16s INVALID: %s@." k error
-            | Registry.Entry_slower { meta; simulated } ->
+            | Registry.Entry_slower { meta; simulated; _ } ->
                 incr bad;
                 Format.printf
                   "%-16s SLOWER: re-simulates %.1f us vs stored %.1f us@." k

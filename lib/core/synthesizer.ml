@@ -172,10 +172,10 @@ let solve_plans ~pool ~memo ~budget ?warm strategy topo (plans : keyed_plan list
       (fun i ->
         let rep = reps.(i) in
         let w = match warm with None -> None | Some f -> f keys.(i) rep in
-        (* Each solve gets a detached view of the element's budget (same
+        (* Each solve gets a sub-budget of the element's budget (same
            deadline, own degradation mark) so we can tell, per class, whether
            the deadline forced a degraded solution. *)
-        let b = Budget.detach budget in
+        let b = Budget.sub budget in
         let xfers =
           Subsolver.solve_demand ?warm:w ~budget:b ~pool strategy topo rep
         in
@@ -633,68 +633,58 @@ let budget_of_config config =
   | None -> Budget.unlimited
   | Some s -> Budget.create ~seconds:s ()
 
-(* Last rung of the degradation ladder: a validated precomputed baseline
-   ({!Syccl_baselines.Fallback}).  Simulation is best-effort here — when the
-   simulator is the faulty or too-slow component, [time]/[busbw] come out
-   as nan rather than the rung failing. *)
-let fallback_outcome ~t0 ~reason config topo coll =
-  Counters.bump "synth.fallbacks";
-  Trace.instant "synth.fallback" ~args:[ ("reason", reason) ];
-  let schedules = Syccl_baselines.Fallback.schedule topo coll in
-  let time =
-    try Sim.phases_time ~blocks:config.blocks topo schedules
-    with _ -> Float.nan
-  in
+(* An outcome no synthesis stage produced: a registry hit, or a baseline
+   rung (with its level and reason). *)
+let unsynthesized ?(synth_time = 0.0) ?degraded coll ~chosen ~time schedules =
   {
     schedules;
     time;
     busbw = Collective.busbw coll ~time;
-    synth_time = Clock.now () -. t0;
+    synth_time;
     breakdown = zero_breakdown;
     num_sketches = 0;
     num_combos = 0;
-    chosen = "baseline-fallback";
-    degraded = Fallback;
-    degrade_reason = Some reason;
+    chosen;
+    degraded = (match degraded with None -> Full | Some (level, _) -> level);
+    degrade_reason = Option.map snd degraded;
   }
 
-(* The reroute rung, engaged only on punctured topologies: take the
-   baseline schedule of the healthy base topology and reroute its
-   transfers around the dead hardware.  Validated by the caller like every
-   other rung. *)
-let rerouted_outcome ~t0 ~reason config topo coll =
-  Counters.bump "synth.reroutes";
-  Trace.instant "synth.reroute" ~args:[ ("reason", reason) ];
-  let healthy = Syccl_baselines.Fallback.schedule (Topology.base topo) coll in
-  let schedules = Reroute.schedules topo healthy in
-  let time =
-    try Sim.phases_time ~blocks:config.blocks topo schedules
-    with _ -> Float.nan
-  in
-  {
-    schedules;
-    time;
-    busbw = Collective.busbw coll ~time;
-    synth_time = Clock.now () -. t0;
-    breakdown = zero_breakdown;
-    num_sketches = 0;
-    num_combos = 0;
-    chosen = "baseline-rerouted";
-    degraded = Rerouted;
-    degrade_reason = Some reason;
-  }
-
-(* The bottom of the ladder.  Healthy topology: straight to the baseline.
-   Punctured topology: try rerouting the healthy baseline around the dead
-   hardware first (validated — an invalid reroute counts as the rung
-   crashing), and only then the baseline on the punctured topology itself,
-   whose candidates may all be severed. *)
+(* The bottom of the ladder, a validated precomputed baseline
+   ({!Syccl_baselines.Fallback}).  Healthy topology: straight to the
+   baseline.  Punctured topology: first the reroute rung — the healthy
+   base topology's baseline with its transfers rerouted around the dead
+   hardware, validated (an invalid reroute counts as the rung crashing) —
+   and only then the baseline on the punctured topology itself, whose
+   candidates may all be severed.  Simulation is best-effort here: when
+   the simulator is the faulty or too-slow component, [time]/[busbw] come
+   out as nan rather than the rung failing. *)
 let last_resort ~t0 ~reason config topo coll =
-  if Fault.is_empty (Topology.faults topo) then
-    fallback_outcome ~t0 ~reason config topo coll
+  let baseline level ~reason ~chosen schedules =
+    let time =
+      try Sim.phases_time ~blocks:config.blocks topo schedules
+      with _ -> Float.nan
+    in
+    unsynthesized ~synth_time:(Clock.now () -. t0) ~degraded:(level, reason)
+      coll ~chosen ~time schedules
+  in
+  let fallback reason =
+    Counters.bump "synth.fallbacks";
+    Trace.instant "synth.fallback" ~args:[ ("reason", reason) ];
+    baseline Fallback ~reason ~chosen:"baseline-fallback"
+      (Syccl_baselines.Fallback.schedule topo coll)
+  in
+  if Fault.is_empty (Topology.faults topo) then fallback reason
   else
     match
-      let o = rerouted_outcome ~t0 ~reason config topo coll in
+      Counters.bump "synth.reroutes";
+      Trace.instant "synth.reroute" ~args:[ ("reason", reason) ];
+      let healthy =
+        Syccl_baselines.Fallback.schedule (Topology.base topo) coll
+      in
+      let o =
+        baseline Rerouted ~reason ~chosen:"baseline-rerouted"
+          (Reroute.schedules topo healthy)
+      in
       match Syccl_sim.Validate.validate topo coll o.schedules with
       | Ok () ->
           Counters.bump "synth.degraded";
@@ -707,7 +697,7 @@ let last_resort ~t0 ~reason config topo coll =
         Counters.bump "synth.rung_failures";
         Trace.instant "synth.degrade"
           ~args:[ ("rung", "rerouted"); ("error", Printexc.to_string e) ];
-        fallback_outcome ~t0 ~reason:(Printexc.to_string e) config topo coll
+        fallback (Printexc.to_string e)
 
 (* Degradation ladder: a full-pipeline attempt, then — if that crashed — a
    fast-only retry under the same budget, then (on punctured topologies) a
@@ -768,16 +758,16 @@ let synthesize ?(config = default_config) topo coll =
    scheduling.
 
    Fault isolation: every element runs the full degradation ladder under
-   its own {!Budget.detach}ed budget (shared sweep deadline, independent
-   token), so a crashing or expiring element degrades — it does not abort
-   its siblings or the sweep.  An element that dies outside the ladder
-   (e.g. the ["pool.crash"] fault point fires before the ladder runs)
-   surfaces as [Error]. *)
+   its own {!Budget.sub} of the sweep budget (shared deadline, own
+   degradation mark), so a crashing or expiring element degrades — it
+   does not abort its siblings or the sweep.  An element that dies outside
+   the ladder (e.g. the ["pool.crash"] fault point fires before the ladder
+   runs) surfaces as [Error]. *)
 let synthesize_all_results ?(config = default_config) topo colls =
   let sweep_budget = budget_of_config config in
   Pool.map_result (Pool.get config.domains)
     (fun coll ->
-      synthesize_with ~config ~budget:(Budget.detach sweep_budget) topo coll)
+      synthesize_with ~config ~budget:(Budget.sub sweep_budget) topo coll)
     (Array.of_list colls)
   |> Array.to_list
   |> List.map (Result.map_error Printexc.to_string)

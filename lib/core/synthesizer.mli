@@ -87,6 +87,20 @@ type outcome = {
           the failing component. *)
 }
 
+val unsynthesized :
+  ?synth_time:float ->
+  ?degraded:level * string ->
+  Syccl_collective.Collective.t ->
+  chosen:string ->
+  time:float ->
+  Syccl_sim.Schedule.t list ->
+  outcome
+(** [unsynthesized coll ~chosen ~time schedules] is the outcome of
+    [schedules] for [coll] that ran no synthesis stage — a registry hit,
+    or a baseline rung: {!zero_breakdown}, no sketches or combinations,
+    [busbw] from [time].  [synth_time] defaults to 0; [degraded] is the
+    rung and its reason, {!Full} without one when omitted. *)
+
 val synthesize :
   ?config:config ->
   Syccl_topology.Topology.t ->

@@ -65,8 +65,8 @@ val solve :
     wall-clock input: a caller that wants a per-model limit narrows its
     own budget with {!Syccl_util.Budget.sub} before the call.  Its
     deadline is checked both between branch-and-bound waves and — via
-    {!Lp}'s pivot loop — between simplex pivots, so an expiring or
-    cancelled budget stops the solve within a pivot-check stride.
+    {!Lp}'s pivot loop — between simplex pivots, so an expiring budget
+    stops the solve within a pivot-check stride.
 
     [lower_bound] is an external certificate on the optimal objective
     (e.g. the multi-commodity-flow relaxation of the epoch model): node

@@ -4,8 +4,6 @@ module Collective = Syccl_collective.Collective
 module Perm = Syccl_util.Perm
 module Counters = Syccl_util.Counters
 module Transport = Syccl_sim.Transport
-module Validate = Syccl_sim.Validate
-module Sim = Syccl_sim.Sim
 module Synthesizer = Syccl.Synthesizer
 
 (* Every intra-group edge of every dimension — the default single-element
@@ -145,10 +143,8 @@ let warm ~registry ?audit ?(config = Synthesizer.default_config) ~topology
   (* Synthesizing a member from scratch is the correctness net under every
      transport failure: the orbit machinery is an optimization, never the
      only path to a warmed entry. *)
-  let resynthesize faults =
-    ignore
-      (Serve.run ~registry ?audit
-         (Request.make ~config ~faults ~topology ~collective ~size ()));
+  let resynthesize req =
+    ignore (Serve.run ~registry ?audit req);
     bump (fun s -> { s with resynthesized = s.resynthesized + 1 })
   in
   List.iter
@@ -179,29 +175,27 @@ let warm ~registry ?audit ?(config = Synthesizer.default_config) ~topology
                 (fun p -> Fault.equal (Fault.map p rep) member)
                 group
             in
-            let member_topo = Topology.puncture topo member in
+            let req =
+              Request.make ~config ~faults:member ~topology ~collective ~size
+                ()
+            in
+            (* The transported schedule is admitted like any stored one,
+               then stored at its simulated cost by the serving policy. *)
             match
-              Transport.schedules p coll coll synth.Synthesizer.schedules
+              Option.map
+                (Registry.admit ~blocks:config.Synthesizer.blocks
+                   req.Request.topo coll ~size:coll.Collective.size)
+                (Transport.schedules p coll coll synth.Synthesizer.schedules)
             with
-            | None -> resynthesize member
-            | Some schedules -> (
-                match Validate.validate member_topo coll schedules with
-                | exception _ -> resynthesize member
-                | Error _ -> resynthesize member
-                | Ok () -> (
-                    let blocks = config.Synthesizer.blocks in
-                    let cost = Sim.phases_time ~blocks member_topo schedules in
-                    match
-                      Registry.store registry member_topo coll ~blocks ~cost
-                        ~chosen:(synth.Synthesizer.chosen ^ "+transport")
-                        schedules
-                    with
-                    | () ->
-                        bump (fun s ->
-                            { s with transported = s.transported + 1 })
-                    | exception _ ->
-                        Counters.bump "registry.store_errors";
-                        bump (fun s -> { s with skipped = s.skipped + 1 }))))
+            | None | Some (Error _) -> resynthesize req
+            | Some (Ok (schedules, time)) ->
+                if
+                  Serve.store registry req
+                    (Synthesizer.unsynthesized coll
+                       ~chosen:(synth.Synthesizer.chosen ^ "+transport")
+                       ~time schedules)
+                then bump (fun s -> { s with transported = s.transported + 1 })
+                else bump (fun s -> { s with skipped = s.skipped + 1 }))
           rest)
     classes;
   !stats

@@ -67,7 +67,8 @@ type stats = {
   transported : int;  (** member entries stored by schedule transport *)
   resynthesized : int;
       (** members synthesized directly because transport failed (ambiguous
-          tag signature, validation failure) — the correctness net *)
+          tag signature) or its result failed admission — the correctness
+          net *)
   skipped : int;
       (** members left cold (degraded/fast-only representative, or a store
           failure) — never silently served *)
@@ -92,9 +93,10 @@ val warm :
     {!Serve.run} per orbit representative (cold syntheses are stored under
     the punctured fingerprint by the ordinary serving policy), then each
     remaining orbit member receives the representative's schedule
-    transported along the relating automorphism — validated on the member's
-    punctured topology and stored at freshly simulated cost — so a later
-    request with {e any} enumerated fault set is a registry hit.  Members
-    whose transport fails are synthesized directly; members of a degraded
+    transported along the relating automorphism — admitted on the member's
+    punctured topology by {!Registry.admit} and stored at its simulated
+    cost through {!Serve.store} — so a later request with {e any}
+    enumerated fault set is a registry hit.  Members whose transport or
+    admission fails are synthesized directly; members of a degraded
     representative are skipped (stored entries are Full-quality only,
     matching {!Serve}). *)

@@ -23,11 +23,23 @@ let rec mkdirs path =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let read_file path =
+(* Registry files are read into one buffer per domain, reused by every
+   probe: an unchanged entry is compared in place with the bytes its
+   memoized verdict was judged from, so a repeated probe allocates no
+   string. *)
+let read_buffer = Domain.DLS.new_key (fun () -> ref (Bytes.create 65536))
+
+let read_into path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      let len = in_channel_length ic in
+      let buf = Domain.DLS.get read_buffer in
+      if Bytes.length !buf < len then
+        buf := Bytes.create (max len (2 * Bytes.length !buf));
+      really_input ic !buf 0 len;
+      (!buf, len))
 
 (* Unique-enough temp names without Random: pid + a process-wide ticket.
    Collisions across processes differ in pid; within a process in ticket. *)
@@ -91,7 +103,10 @@ let manifest t =
   let path = manifest_path t in
   if not (Sys.file_exists path) then Error "no manifest"
   else
-    match Json.of_string (read_file path) with
+    match
+      let buf, len = read_into path in
+      Json.of_string (Bytes.sub_string buf 0 len)
+    with
     | exception _ -> Error "unreadable manifest"
     | j -> (
         match Json.to_int (Json.member "layout_version" j) with
@@ -240,9 +255,10 @@ type meta = {
   m_bytes : int;
 }
 
-(* Parse an entry's bytes without validating the schedules against any
-   topology.  Any failure — malformed JSON, missing fields, wrong schema
-   version — is the entry being corrupt. *)
+(* Parse the bytes stored under key [k] without validating the schedules
+   against any topology.  Any failure — malformed JSON, missing fields,
+   wrong schema version, or a demand whose own key is not [k] — is the
+   entry being corrupt. *)
 let parse_body ~key:k body =
   match
     let j = Json.of_string body in
@@ -284,6 +300,15 @@ let parse_body ~key:k body =
       raise
         (Json.Parse_error
            (Printf.sprintf "entry cost %g is not finite" meta.m_cost));
+    (* {!store} writes the key and these fields from one topology and
+       collective, so an honest entry always matches its key.  One that
+       does not was copied, planted or damaged, and no reader may take it
+       for the demand its key names. *)
+    if
+      key_of ~fingerprint:meta.m_fingerprint ~kind:meta.m_kind
+        ~root:meta.m_root ~peer:meta.m_peer ~bucket:(size_bucket meta.m_size)
+      <> k
+    then raise (Json.Parse_error "entry is stored under another demand's key");
     let schedules =
       List.map Schedule.of_json (Json.to_list (Json.member "schedules" j))
     in
@@ -293,40 +318,10 @@ let parse_body ~key:k body =
   | exception e -> Error (Printexc.to_string e)
   | parsed -> Ok parsed
 
-let load t k =
-  let path = shard_path t k in
-  if not (Sys.file_exists path) then Error "no such entry"
-  else
-    match
-      (* Crash probe for the read path, after the existence check and
-         before the read: an entry that cannot be read is corrupt. *)
-      Faultpoint.inject "registry.crash";
-      read_file path
-    with
-    | exception e -> Error (Printexc.to_string e)
-    | body -> parse_body ~key:k body
+(* --- reading: one path for the probe and the introspection API ---------- *)
 
-(* --- probe, step 1: observe the entry files ------------------------------- *)
-
-(* What a probe found at one path. *)
-type observation = Missing | Unreadable | Read of string
-
-(* Entry files are read into one buffer per domain, reused by every probe:
-   an unchanged file is compared in place with the bytes its memoized
-   verdict was judged from, so a repeated probe allocates no string. *)
-let read_buffer = Domain.DLS.new_key (fun () -> ref (Bytes.create 65536))
-
-let read_into path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let buf = Domain.DLS.get read_buffer in
-      if Bytes.length !buf < len then
-        buf := Bytes.create (max len (2 * Bytes.length !buf));
-      really_input ic !buf 0 len;
-      (!buf, len))
+(* What a read found at one path. *)
+type observation = Missing | Unreadable of string | Read of string
 
 (* The first [len] bytes of [b] equal [s], compared a word at a time. *)
 let same_bytes b len s =
@@ -340,11 +335,11 @@ let same_bytes b len s =
   in
   go 0
 
-(* Observe one path the way {!load} reads it — existence check, then the
-   registry.crash fault point, then the read — so a probe draws that point
-   as often and in the same order whether or not its verdict is memoized,
-   and an entry that cannot be read is a counted corrupt miss, never a
-   serving error.  When [prev] holds the same bytes it is returned as is. *)
+(* Read one entry path: existence check, then the registry.crash fault
+   point, then the read.  A probe draws that point as often and in the same
+   order whether or not its verdict is memoized, and an entry that cannot
+   be read is a counted corrupt miss, never a serving error.  When [prev]
+   holds the same bytes it is returned as is. *)
 let observe ?prev path =
   if not (Sys.file_exists path) then Missing
   else
@@ -352,84 +347,110 @@ let observe ?prev path =
       Faultpoint.inject "registry.crash";
       read_into path
     with
-    | exception _ -> Unreadable
+    | exception e -> Unreadable (Printexc.to_string e)
     | buf, len -> (
         match prev with
         | Some (Read s as o) when same_bytes buf len s -> o
         | _ -> Read (Bytes.sub_string buf 0 len))
 
+(* An unreadable entry is a corrupt miss whatever the error said. *)
 let same_observation a b =
   match (a, b) with
   | Read x, Read y -> String.equal x y
-  | Missing, Missing | Unreadable, Unreadable -> true
-  | (Missing | Unreadable | Read _), _ -> false
+  | Missing, Missing | Unreadable _, Unreadable _ -> true
+  | (Missing | Unreadable _ | Read _), _ -> false
 
-(* --- probe, step 2: judge what was observed ------------------------------ *)
+let load t k =
+  match observe (shard_path t k) with
+  | Missing -> Error "no such entry"
+  | Unreadable e -> Error e
+  | Read body -> parse_body ~key:k body
 
-(* Exact-key classification of the request's own entry. *)
+(* --- admission: the one judgement of a stored schedule --------------------- *)
+
+(* Schedules made for [size] (an entry as stored, or transported), rescaled
+   to [coll]'s size, validated on the live topology and re-simulated at
+   [blocks].  A stale, transported or hand-planted schedule must prove
+   itself here before it may replace a fresh solve; a validator that
+   raises fails the schedule. *)
+let admit ~blocks topo (coll : Collective.t) ~size schedules =
+  let schedules =
+    if size = coll.Collective.size then schedules
+    else
+      let f = coll.Collective.size /. size in
+      List.map (fun s -> Schedule.scale s f) schedules
+  in
+  match Validate.validate topo coll schedules with
+  | Error e -> Error e
+  | exception e -> Error (Printexc.to_string e)
+  | Ok () -> Ok (schedules, Sim.phases_time ~blocks topo schedules)
+
+type admitted = {
+  meta : meta;
+  topo : Topology.t;
+  coll : Collective.t;
+  schedules : Schedule.t list;
+  simulated : float;
+}
+
+type verdict =
+  | Entry_ok of admitted
+  | Entry_unverified of meta
+  | Entry_corrupt of string
+  | Entry_invalid of { meta : meta; error : string }
+  | Entry_slower of admitted
+
+(* A parsed entry judged for [coll] on [topo].  An entry served at its
+   stored size must also keep its stored cost, compared at the fidelity it
+   was computed at: a caller judging at another [blocks] must not demote
+   (or rehabilitate) an entry just because coarser pipelining simulates
+   slower — that is fidelity drift, not schedule drift.  A slower entry
+   shows simulator or link-model drift the fingerprint could not see. *)
+let judge ~blocks topo (coll : Collective.t) (meta, schedules) =
+  match admit ~blocks topo coll ~size:meta.m_size schedules with
+  | Error error -> Entry_invalid { meta; error }
+  | Ok (schedules, simulated) ->
+      let a = { meta; topo; coll; schedules; simulated } in
+      let at_stored_blocks () =
+        if blocks = meta.m_blocks then simulated
+        else Sim.phases_time ~blocks:meta.m_blocks topo schedules
+      in
+      if
+        meta.m_size = coll.Collective.size
+        && at_stored_blocks () > meta.m_cost *. (1.0 +. 1e-6)
+      then Entry_slower a
+      else Entry_ok a
+
+let hit_of ~via ~hit_key a =
+  {
+    schedules = a.schedules;
+    time = a.simulated;
+    stored_cost = a.meta.m_cost;
+    stored_blocks = a.meta.m_blocks;
+    chosen = a.meta.m_chosen;
+    via;
+    hit_key;
+  }
+
+(* --- probe: judge what was observed ----------------------------------------- *)
+
+(* The request's own entry. *)
 let judge_exact ~blocks topo (coll : Collective.t) k = function
   | Missing -> Miss Absent
-  | Unreadable -> Miss Corrupt
+  | Unreadable _ -> Miss Corrupt
   | Read body -> (
       match parse_body ~key:k body with
       | Error _ -> Miss Corrupt
-      | Ok (meta, schedules) ->
-          if
-            meta.m_fingerprint <> Topology.fingerprint topo
-            || meta.m_kind <> Collective.kind_name coll.Collective.kind
-            || meta.m_root <> coll.Collective.root
-            || meta.m_peer <> coll.Collective.peer
-          then
-            (* A key collision with a mismatched demand is indistinguishable
-               from a manually planted or damaged entry: corrupt. *)
-            Miss Corrupt
-          else begin
-            let stored_cost = meta.m_cost and stored_blocks = meta.m_blocks in
-            let scaled = meta.m_size <> coll.Collective.size in
-            let schedules =
-              if scaled then
-                let f = coll.Collective.size /. meta.m_size in
-                List.map (fun s -> Schedule.scale s f) schedules
-              else schedules
-            in
-            (* Every hit is verified against the live topology model: a
-               stale or hand-planted entry must prove itself before it is
-               allowed to replace a fresh solve. *)
-            match Validate.validate topo coll schedules with
-            | Error _ -> Miss Invalid
-            | exception _ -> Miss Invalid
-            | Ok () ->
-                let time = Sim.phases_time ~blocks topo schedules in
-                (* Compare against the stored cost at the fidelity it was
-                   computed at: a caller probing with a different [blocks]
-                   must not demote (or rehabilitate) an entry just because
-                   coarser pipelining simulates slower — that is fidelity
-                   drift, not schedule drift. *)
-                let comparable_time =
-                  if blocks = stored_blocks then time
-                  else Sim.phases_time ~blocks:stored_blocks topo schedules
-                in
-                if
-                  (not scaled)
-                  && comparable_time > stored_cost *. (1.0 +. 1e-6)
-                then
-                  (* The entry simulates slower than advertised (simulator
-                     or link-model drift the fingerprint could not see):
-                     let a fresh solve compete instead of silently serving
-                     it. *)
-                  Miss Slower
-                else
-                  Hit
-                    {
-                      schedules;
-                      time;
-                      stored_cost;
-                      stored_blocks;
-                      chosen = meta.m_chosen;
-                      via = (if scaled then Rescaled else Exact);
-                      hit_key = k;
-                    }
-          end)
+      | Ok entry -> (
+          match judge ~blocks topo coll entry with
+          | Entry_ok a ->
+              let via =
+                if a.meta.m_size = coll.Collective.size then Exact else Rescaled
+              in
+              Hit (hit_of ~via ~hit_key:k a)
+          | Entry_slower _ -> Miss Slower
+          | Entry_invalid _ -> Miss Invalid
+          | Entry_corrupt _ | Entry_unverified _ -> Miss Corrupt))
 
 let rooted_kind = function
   | Collective.SendRecv | Collective.Broadcast | Collective.Scatter
@@ -476,9 +497,10 @@ let transport_sources topo (coll : Collective.t) =
 
 (* A near-miss source entry: the same demand at a symmetric (root, peer),
    with every permutation mapping it onto the request, or the same demand
-   one size bucket away. *)
+   one size bucket away.  An entry parsed under a source's key is that
+   source's demand: {!parse_body} checks the key. *)
 type source =
-  | Symmetric of { key : string; root : int; peer : int; perms : Perm.t list }
+  | Symmetric of { key : string; perms : Perm.t list }
   | Adjacent of { key : string }
 
 let source_key = function Symmetric { key; _ } | Adjacent { key } -> key
@@ -490,13 +512,7 @@ let near_sources ~fingerprint topo (coll : Collective.t) =
   let bucket = size_bucket coll.Collective.size in
   List.map
     (fun ((root, peer), perms) ->
-      Symmetric
-        {
-          key = key_of ~fingerprint ~kind ~root ~peer ~bucket;
-          root;
-          peer;
-          perms;
-        })
+      Symmetric { key = key_of ~fingerprint ~kind ~root ~peer ~bucket; perms })
     (transport_sources topo coll)
   @ List.map
       (fun db ->
@@ -512,89 +528,53 @@ let near_sources ~fingerprint topo (coll : Collective.t) =
    candidate families: entries at a symmetric (root, peer) transported
    through {!Transport.schedules} (validity and cost preserved — the
    automorphism-transport fuzz law), and same-demand entries one size
-   bucket away rescaled with {!Schedule.scale}.  Every candidate is
-   re-validated and α-β re-simulated, and must beat the fallback ladder
-   before it may serve; the fastest survivor wins. *)
+   bucket away.  Every candidate is admitted (rescaled, re-validated and
+   α-β re-simulated) and must beat the fallback ladder before it may
+   serve; the fastest survivor wins. *)
 let judge_near ~blocks topo (coll : Collective.t) observed =
-  let fp = Topology.fingerprint topo in
-  let kind_name = Collective.kind_name coll.Collective.kind in
   let n = Topology.num_gpus topo in
-  let attempted = ref 0 in
-  (* A source entry that exists and parses sane counts as attempted even if
+  let kind = coll.Collective.kind in
+  (* A source entry that exists and parses counts as attempted even if
      transport, validation or the fallback guard later rejects it: the
      distinction between miss.absent and miss.transport_rejected is "was
      there anything to transport". *)
-  let parse_source k = function
-    | Missing | Unreadable -> None
+  let attempted = ref 0 in
+  let candidate (src, obs) =
+    match obs with
+    | Missing | Unreadable _ -> None
     | Read body -> (
+        let k = source_key src in
         match parse_body ~key:k body with
         | Error _ -> None
-        | Ok (meta, ss) ->
-            if meta.m_fingerprint <> fp || meta.m_kind <> kind_name then None
-            else begin
-              incr attempted;
-              Some (meta, ss)
-            end)
-  in
-  let finish ~via ~hit_key (meta : meta) schedules =
-    match Validate.validate topo coll schedules with
-    | Error _ -> None
-    | exception _ -> None
-    | Ok () ->
-        let time = Sim.phases_time ~blocks topo schedules in
-        Some
-          {
-            schedules;
-            time;
-            stored_cost = meta.m_cost;
-            stored_blocks = meta.m_blocks;
-            chosen = meta.m_chosen;
-            via;
-            hit_key;
-          }
-  in
-  let rescale (meta : meta) ss =
-    if meta.m_size = coll.Collective.size then ss
-    else
-      let f = coll.Collective.size /. meta.m_size in
-      List.map (fun s -> Schedule.scale s f) ss
-  in
-  let candidate (src, obs) =
-    match src with
-    | Symmetric { key = k; root = src_root; peer = src_peer; perms = ps } -> (
-        match parse_source k obs with
-        | None -> None
-        | Some (meta, ss) ->
-            if meta.m_root <> src_root || meta.m_peer <> src_peer then None
-            else (
-              match
-                ( Collective.make ~root:src_root ~peer:src_peer
-                    coll.Collective.kind ~n ~size:meta.m_size,
-                  Collective.make ~root:coll.Collective.root
-                    ~peer:coll.Collective.peer coll.Collective.kind ~n
-                    ~size:meta.m_size )
-              with
-              | exception _ -> None
-              | coll_src, coll_dst -> (
+        | Ok (meta, ss) -> (
+            incr attempted;
+            let moved =
+              match src with
+              | Adjacent _ -> Some (Scaled_cross, ss)
+              | Symmetric { perms; _ } -> (
+                  let at ~root ~peer =
+                    Collective.make ~root ~peer kind ~n ~size:meta.m_size
+                  in
                   match
-                    List.find_map
-                      (fun p -> Transport.schedules p coll_src coll_dst ss)
-                      ps
+                    ( at ~root:meta.m_root ~peer:meta.m_peer,
+                      at ~root:coll.Collective.root ~peer:coll.Collective.peer )
                   with
-                  | None -> None
-                  | Some ss' ->
-                      finish ~via:Transported ~hit_key:k meta
-                        (rescale meta ss'))))
-    | Adjacent { key = k } -> (
-        match parse_source k obs with
-        | None -> None
-        | Some (meta, ss) ->
-            if
-              meta.m_root <> coll.Collective.root
-              || meta.m_peer <> coll.Collective.peer
-              || meta.m_size = coll.Collective.size
-            then None
-            else finish ~via:Scaled_cross ~hit_key:k meta (rescale meta ss))
+                  | exception _ -> None
+                  | c_src, c_dst ->
+                      List.find_map
+                        (fun p -> Transport.schedules p c_src c_dst ss)
+                        perms
+                      |> Option.map (fun ss -> (Transported, ss)))
+            in
+            match moved with
+            | None -> None
+            | Some (via, ss) -> (
+                match admit ~blocks topo coll ~size:meta.m_size ss with
+                | Error _ -> None
+                | Ok (schedules, simulated) ->
+                    Some
+                      (hit_of ~via ~hit_key:k
+                         { meta; topo; coll; schedules; simulated }))))
   in
   match List.filter_map candidate observed with
   | [] -> Miss (if !attempted > 0 then Transport_rejected else Absent)
@@ -695,7 +675,7 @@ let probe t ?(blocks = 8) topo (coll : Collective.t) =
   in
   let near =
     match (exact, prev) with
-    | (Unreadable | Read _), _ -> []
+    | (Unreadable _ | Read _), _ -> []
     | Missing, Some { exact = Missing; near; _ } ->
         List.map
           (fun (src, o) ->
@@ -719,7 +699,7 @@ let probe t ?(blocks = 8) topo (coll : Collective.t) =
         match
           match exact with
           | Missing -> judge_near ~blocks topo coll near
-          | Unreadable | Read _ -> judge_exact ~blocks topo coll k exact
+          | Unreadable _ | Read _ -> judge_exact ~blocks topo coll k exact
         with
         | verdict ->
             Cache.put memo mkey { exact; near; verdict };
@@ -762,13 +742,6 @@ let keys t =
 
 let length t = List.length (keys t)
 
-type verdict =
-  | Entry_ok of { simulated : float }
-  | Entry_unverified of meta
-  | Entry_corrupt of string
-  | Entry_invalid of { meta : meta; error : string }
-  | Entry_slower of { meta : meta; simulated : float }
-
 let entry_topology topo m =
   if Topology.fingerprint topo = m.m_fingerprint then Ok (Some topo)
   else if m.m_faults = "" then Ok None
@@ -785,30 +758,22 @@ let entry_topology topo m =
             Ok (Some punctured)
         | _ -> Ok None)
 
+(* The entry judged as its own demand on the topology it was stored for,
+   at its stored fidelity. *)
 let verify_entry t ?topo k =
   match load t k with
   | Error m -> Entry_corrupt m
-  | Ok (meta, schedules) -> (
+  | Ok ((meta, _) as entry) -> (
       match Option.map (fun topo -> entry_topology topo meta) topo with
       | Some (Error e) -> Entry_corrupt e
       | Some (Ok (Some topo)) -> (
           match
-            let coll =
-              Collective.make ~root:meta.m_root ~peer:meta.m_peer
-                (Collective.kind_of_name meta.m_kind)
-                ~n:(Topology.num_gpus topo) ~size:meta.m_size
-            in
-            Validate.validate topo coll schedules
+            Collective.make ~root:meta.m_root ~peer:meta.m_peer
+              (Collective.kind_of_name meta.m_kind)
+              ~n:(Topology.num_gpus topo) ~size:meta.m_size
           with
           | exception e -> Entry_invalid { meta; error = Printexc.to_string e }
-          | Error e -> Entry_invalid { meta; error = e }
-          | Ok () ->
-              (* Re-simulate at the entry's store-time fidelity so the
-                 comparison is like-for-like with the stored cost. *)
-              let simulated = Sim.phases_time ~blocks:meta.m_blocks topo schedules in
-              if simulated > meta.m_cost *. (1.0 +. 1e-6) then
-                Entry_slower { meta; simulated }
-              else Entry_ok { simulated })
+          | coll -> judge ~blocks:meta.m_blocks topo coll entry)
       | _ -> Entry_unverified meta)
 
 (* --- maintenance: compaction, eviction ------------------------------------ *)

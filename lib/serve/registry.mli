@@ -20,17 +20,21 @@
       (two pool tasks storing the same key, two processes) each leave a
       complete, valid entry — last rename wins;
     - {e loads are corruption-tolerant}: an unreadable, truncated,
-      malformed or wrong-schema entry is a counted miss
+      malformed or wrong-schema entry, or one whose own demand does not
+      hash to the key it is stored under, is a counted miss
       (["registry.miss.corrupt"]), never an error;
-    - {e hits are verified once per entry content per process}: every
-      hit — exact, rescaled, transported or cross-bucket — is validated
-      with {!Syccl_sim.Validate.validate} and simulated against the live
-      α-β model before it is first served; an entry that fails validation
-      (["registry.miss.invalid"]) or simulates slower than its stored cost
-      (["registry.miss.slower"]) is demoted to a miss, so a stale entry can
-      never beat a fresh solve silently.  The verdict is memoized in the
-      process against the exact bytes it was judged from (see {!probe});
-      nothing on disk is trusted.
+    - {e one admission judges every stored schedule}: every hit — exact,
+      rescaled, transported or cross-bucket — every entry [registry
+      verify] checks, and every schedule {!Failover.warm} transports to an
+      orbit member passes {!admit}: rescaled to the request's size,
+      validated with {!Syccl_sim.Validate.validate} and simulated against
+      the live α-β model.  An entry that fails validation
+      (["registry.miss.invalid"]) or, served at its stored size,
+      simulates slower than its stored cost (["registry.miss.slower"]) is
+      demoted to a miss, so a stale entry can never beat a fresh solve
+      silently.  A probe's verdict is memoized in the process against the
+      exact bytes it was judged from (see {!probe}); nothing on disk is
+      trusted.
 
     {b Near-miss serving.}  When the exact key is absent, the probe
     exploits the paper's symmetry machinery at serving time: entries for
@@ -39,8 +43,8 @@
     element of {!Syccl_topology.Topology.stabilizer} (validity and cost
     preserved — the automorphism-transport fuzz law), and same-demand
     entries one bucket away are rescaled with
-    {!Syccl_sim.Schedule.scale}.  Every candidate is re-validated, α-β
-    re-simulated, and must beat the precomputed fallback ladder
+    {!Syccl_sim.Schedule.scale}.  Every candidate is admitted, and must
+    beat the precomputed fallback ladder
     ({!Syccl_baselines.Fallback.schedule}) before it may serve; the
     fastest survivor wins and its {e source} entry key is reported as
     [hit_key].
@@ -131,7 +135,8 @@ type hit = {
 type miss_reason =
   | Absent  (** no entry file under the key and nothing to transport *)
   | Corrupt
-      (** unreadable, malformed, wrong-schema, or demand-mismatched entry *)
+      (** unreadable, malformed or wrong-schema entry, or one stored under
+          another demand's key *)
   | Invalid  (** parsed, but failed {!Syccl_sim.Validate.validate} *)
   | Slower  (** valid, but re-simulates slower than its stored cost *)
   | Transport_rejected
@@ -165,9 +170,9 @@ val probe :
     depends on, each exactly once: the exact entry and, only when that is
     absent, the near-miss sources (transport sources, then the two
     adjacent buckets).  Each read passes the ["registry.crash"] fault
-    point after the existence check.  It then judges those bytes — parse,
-    key-collision check, rescale, validation, simulation, slower check,
-    transport, fallback guard — without touching the disk again.
+    point after the existence check.  It then judges those bytes — parse
+    and key self-check, transport, {!admit}, slower check, fallback guard
+    — without touching the disk again.
 
     {b Memo.}  The verdict is memoized in the process (the
     {!Syccl_util.Cache} ["cache.probe"], bounded by the bytes it retains)
@@ -217,6 +222,20 @@ val store :
     full-quality (non-degraded, non-fast-only) outcomes — the registry
     does not second-guess that policy, it only verifies on the way out. *)
 
+val admit :
+  blocks:int -> Syccl_topology.Topology.t -> Syccl_collective.Collective.t ->
+  size:float -> Syccl_sim.Schedule.t list ->
+  (Syccl_sim.Schedule.t list * float, string) result
+(** The one admission of a stored or transported schedule: [admit ~blocks
+    topo coll ~size schedules] rescales [schedules], made for [size]
+    bytes, to [coll]'s size, validates them on [topo] with
+    {!Syccl_sim.Validate.validate} (a validator that raises fails them)
+    and re-simulates them at [blocks].  [Ok (schedules, time)] carries
+    the rescaled schedules and their simulated time; [Error] the
+    validation error.  {!probe}, {!verify_entry} and
+    {!Failover.warm} judge every schedule they did not synthesize
+    through it. *)
+
 val length : t -> int
 (** Number of entry keys currently present (corrupt ones included). *)
 
@@ -251,20 +270,33 @@ val keys : t -> string list
 
 val load :
   t -> string -> (meta * Syccl_sim.Schedule.t list, string) result
-(** Parse one entry by key {e without} validating its schedules against
-    any topology.  [Error] is the corruption message.  Does not touch any
-    counter — introspection must not pollute serving metrics. *)
+(** Read and parse one entry by key {e without} validating its schedules
+    against any topology, the way {!probe} reads it (through the
+    ["registry.crash"] fault point).  [Error] is the corruption message:
+    unreadable, malformed or wrong-schema, or stored under a key its own
+    demand does not hash to.  Does not touch any counter — introspection
+    must not pollute serving metrics. *)
+
+type admitted = {
+  meta : meta;
+  topo : Syccl_topology.Topology.t;  (** the topology it was judged on *)
+  coll : Syccl_collective.Collective.t;  (** the demand it was judged for *)
+  schedules : Syccl_sim.Schedule.t list;  (** as admitted *)
+  simulated : float;  (** re-simulated cost, seconds *)
+}
+(** An entry that passed {!admit}. *)
 
 type verdict =
-  | Entry_ok of { simulated : float }
-      (** validated and re-simulated no slower than stored (at store-time
+  | Entry_ok of admitted
+      (** admitted, and re-simulated no slower than stored (at store-time
           fidelity) *)
   | Entry_unverified of meta
       (** parses cleanly, but no topology matching its fingerprint was
           supplied, so validation/simulation could not run *)
   | Entry_corrupt of string
   | Entry_invalid of { meta : meta; error : string }
-  | Entry_slower of { meta : meta; simulated : float }
+  | Entry_slower of admitted
+      (** admitted, but re-simulates slower than its stored cost *)
 
 val entry_topology :
   Syccl_topology.Topology.t -> meta ->
@@ -277,11 +309,15 @@ val entry_topology :
 
 val verify_entry :
   t -> ?topo:Syccl_topology.Topology.t -> string -> verdict
-(** Re-verify one entry by key: parse (corruption and schema drift are
-    detectable standalone), and — when [topo] reaches the entry's
-    fingerprint ({!entry_topology}) — re-validate with
-    {!Syccl_sim.Validate.validate} and re-simulate at the stored fidelity.
-    Never mutates the store and never touches the serving counters. *)
+(** Re-verify one entry by key, judging it as {!probe} judges its own
+    demand at its stored size and fidelity: load (corruption, schema
+    drift and a wrong key are detectable standalone), and — when [topo]
+    reaches the entry's fingerprint ({!entry_topology}) — {!admit} it at
+    the stored fidelity and compare with the stored cost.  So a cold probe
+    at the stored [blocks], on that topology, of the demand at the size
+    the entry records hits when this says [Entry_ok], and misses as
+    corrupt, invalid or slower when this says so.  Never mutates the store
+    and never touches the serving counters. *)
 
 (** {1 Maintenance}
 

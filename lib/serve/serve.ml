@@ -37,19 +37,8 @@ let hit_outcome (request : Request.t) (hit : Registry.hit) =
         };
     probe = Some (Registry.Hit hit);
     synth =
-      {
-        Synthesizer.schedules = hit.Registry.schedules;
-        time = hit.Registry.time;
-        busbw =
-          Collective.busbw request.Request.coll ~time:hit.Registry.time;
-        synth_time = 0.0;
-        breakdown = Synthesizer.zero_breakdown;
-        num_sketches = 0;
-        num_combos = 0;
-        chosen = hit.Registry.chosen;
-        degraded = Synthesizer.Full;
-        degrade_reason = None;
-      };
+      Synthesizer.unsynthesized request.Request.coll ~chosen:hit.Registry.chosen
+        ~time:hit.Registry.time hit.Registry.schedules;
     stored = false;
     lower = None;
   }
@@ -68,20 +57,19 @@ let storable (request : Request.t) (o : Synthesizer.outcome) =
    disk, revoked credentials, the registry.crash fault point) costs the
    store, never the response.  Returns whether the result was persisted —
    the one source of truth for the audit trail and every caller. *)
-let store_result registry (request : Request.t) (o : Synthesizer.outcome) =
-  match registry with
-  | Some reg when storable request o -> (
-      match
-        Registry.store reg request.Request.topo request.Request.coll
-          ~blocks:request.Request.config.Synthesizer.blocks
-          ~cost:o.Synthesizer.time ~chosen:o.Synthesizer.chosen
-          o.Synthesizer.schedules
-      with
-      | () -> true
-      | exception _ ->
-          Counters.bump "registry.store_errors";
-          false)
-  | _ -> false
+let store registry (request : Request.t) (o : Synthesizer.outcome) =
+  storable request o
+  &&
+  match
+    Registry.store registry request.Request.topo request.Request.coll
+      ~blocks:request.Request.config.Synthesizer.blocks
+      ~cost:o.Synthesizer.time ~chosen:o.Synthesizer.chosen
+      o.Synthesizer.schedules
+  with
+  | () -> true
+  | exception _ ->
+      Counters.bump "registry.store_errors";
+      false
 
 (* Group synthesis work by (topology structure, config) so each group runs
    through [synthesize_all] — one concurrent sweep with per-element fault
@@ -215,7 +203,10 @@ let run_batch ?registry ?audit ?lower requests =
       let outs = Synthesizer.synthesize_all ~config topo colls in
       List.iter2
         (fun (k, r) o ->
-          Hashtbl.replace synthesized k (o, store_result registry r o))
+          let stored =
+            match registry with Some reg -> store reg r o | None -> false
+          in
+          Hashtbl.replace synthesized k (o, stored))
         members outs)
     (group_requests synth_work);
   (* The lowering check runs over the outcome {e as served} — a registry

@@ -89,6 +89,16 @@ val run_batch :
     trail ([lowered]/[lower_check]).  A hook that raises is recorded as a
     failed check; it never fails serving. *)
 
+val store : Registry.t -> Request.t -> Syccl.Synthesizer.outcome -> bool
+(** The registry write policy, fail-open: persist the outcome under the
+    request's topology and collective, at its simulated time and the
+    config's [blocks], only when the registry may later serve it in place
+    of a full solve (ladder rung [Full], MILP refinement not disabled, at
+    least one schedule).  A store that raises (full disk, the
+    ["registry.crash"] fault point) is counted on
+    ["registry.store_errors"] and costs the store, never the caller.
+    Returns whether the outcome was persisted. *)
+
 val registry_counts : outcome -> int * int
 (** [(hits, misses)] the registry contributed: [(1, 0)] for a hit,
     [(0, 1)] for a probed miss, [(0, 0)] without a registry — the

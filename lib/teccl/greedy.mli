@@ -25,6 +25,6 @@ val solve :
     finish time plus the port time it consumes, which steers the search
     away from re-crossing scarce links; [rng] perturbs tie-breaking for
     restart diversity.  Returns [None] when [budget] (default unlimited)
-    expires or is cancelled before the demand is met; it is checked once
+    expires before the demand is met; it is checked once
     per committed transfer.  A caller that wants a time box of its own
     passes a fresh {!Syccl_util.Budget.create}. *)

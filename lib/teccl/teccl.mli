@@ -27,10 +27,10 @@ val synthesize :
   outcome
 (** Synthesize schedules for every phase of the collective.  [restarts]
     defaults to 3 below 64 GPUs and 1 above; [budget] (default unlimited)
-    bounds the whole synthesis — its deadline and cancellation token are
-    observed by the greedy inner loop and the epoch MILP, and a phase whose
-    greedy runs it cuts short before any completes yields [schedules =
-    None]; each epoch model is further capped at 60 s inside it;
+    bounds the whole synthesis — its deadline is observed by the greedy
+    inner loop and the epoch MILP, and a phase whose greedy runs it cuts
+    short before any completes yields [schedules = None]; each epoch
+    model is further capped at 60 s inside it;
     [milp_var_budget] (default 2500) bounds the
     size of models handed to the MILP.  The models use the epoch-accuracy
     knob E = 1.0 (Appendix A.3). *)

@@ -129,10 +129,3 @@ let map_elt p = function
   | Nic { gpu; port_group } -> Nic { gpu = Perm.apply p gpu; port_group }
 
 let map p t = List.sort_uniq Stdlib.compare (List.map (map_elt p) t)
-
-let canonical_under group t =
-  List.fold_left
-    (fun best p ->
-      let u = map p t in
-      if Stdlib.compare u best < 0 then u else best)
-    t group

@@ -41,7 +41,3 @@ val decode : string -> t
 val map : Syccl_util.Perm.t -> t -> t
 (** Image under a GPU relabelling.  Only meaningful when the permutation
     is an automorphism of the topology the faults refer to. *)
-
-val canonical_under : Syccl_util.Perm.t list -> t -> t
-(** Minimum image over the given permutations (plus the identity): the
-    orbit-canonical representative under that group. *)

@@ -1,50 +1,35 @@
-(** Deadlines and cooperative cancellation for anytime synthesis.
+(** Deadlines for anytime synthesis.
 
-    A budget couples an absolute monotonic deadline ({!Clock.now}-based)
-    with a cancellation token.  Synthesis stages receive one budget and
-    check it cooperatively: {!cancelled} is a single atomic load (cheap
-    enough for inner loops), {!expired} adds one clock read.  Budgets
-    never interrupt anything by themselves — a stage that observes an
-    expired or cancelled budget is expected to return its best incumbent
-    (or a cheap fallback), not to raise.
+    A budget is an absolute monotonic deadline ({!Clock.now}-based) plus a
+    degradation mark.  Synthesis stages receive one budget and check it
+    cooperatively: {!expired} is one clock read.  Budgets never interrupt
+    anything by themselves — a stage that observes an expired budget is
+    expected to return its best incumbent (or a cheap fallback), not to
+    raise.
 
-    Derived budgets ({!sub}) share the parent's cancellation token, so
-    cancelling an element of a sweep releases every worker cooperating on
-    that element, while sibling elements keep running. *)
+    Derived budgets ({!sub}) never outlive their parent's deadline and
+    carry their own mark, so one element of a sweep, or one sub-solve, can
+    report degradation independently of its siblings. *)
 
 type t
 
 val unlimited : t
-(** No deadline, never cancelled.  A shared constant: do not {!cancel}
-    it (cancellation would leak into every user of the constant); create
-    a real budget when cancellation is needed. *)
+(** No deadline.  A shared constant: do not {!mark_degraded} it (the mark
+    would leak into every user of the constant); {!sub} it, or create a
+    real budget, when degradation must be reported. *)
 
 val create : ?seconds:float -> unit -> t
-(** [create ~seconds ()] is a fresh budget expiring [seconds] from now
-    (no deadline when omitted), with its own cancellation token.
-    [seconds <= 0] yields an already-expired budget. *)
+(** [create ~seconds ()] is a fresh budget expiring [seconds] from now (no
+    deadline when omitted).  [seconds <= 0] yields an already-expired
+    budget. *)
 
 val sub : ?seconds:float -> t -> t
 (** [sub ~seconds t] is a child budget: its deadline is the earlier of
-    [t]'s and [seconds] from now, and it shares [t]'s cancellation token
-    (cancelling the parent cancels the child, and vice versa). *)
-
-val detach : t -> t
-(** [detach t] keeps [t]'s deadline but gets its own cancellation token
-    (seeded with [t]'s current state) and its own degradation mark.  Use
-    it where work items under one deadline must be cancellable — or
-    report degradation — independently (e.g. one budget per sweep
-    element, or per sub-solve when deciding what may be memoized). *)
-
-val cancel : t -> unit
-(** Set the cancellation token.  Idempotent; visible to every budget
-    sharing the token. *)
-
-val cancelled : t -> bool
-(** One atomic load; true after {!cancel} on this budget or a relative. *)
+    [t]'s and [seconds] from now ([t]'s own without [seconds]), and its
+    degradation mark starts unset. *)
 
 val expired : t -> bool
-(** [cancelled t] or the deadline has passed. *)
+(** The deadline has passed. *)
 
 val has_deadline : t -> bool
 (** Whether a finite deadline is set ({!unlimited} and deadline-less
@@ -52,7 +37,7 @@ val has_deadline : t -> bool
 
 val remaining : t -> float
 (** Seconds until the deadline: [infinity] without one, [0.] once
-    expired or cancelled.  Never negative. *)
+    expired.  Never negative. *)
 
 val deadline : t -> float
 (** Absolute deadline on the {!Clock.now} axis ([infinity] if none). *)
@@ -61,8 +46,9 @@ val mark_degraded : t -> unit
 (** Record that some stage holding this budget degraded its result to meet
     the deadline (skipped a refinement, truncated an enumeration).  Marks
     are per-budget: {!sub} children start unmarked and their marks do not
-    propagate to the parent — stages that should contribute to a caller's
-    degradation report must be handed the caller's own budget. *)
+    propagate to the parent or to siblings — stages that should contribute
+    to a caller's degradation report must be handed the caller's own
+    budget. *)
 
 val degraded : t -> bool
 (** Whether {!mark_degraded} was called on exactly this budget. *)

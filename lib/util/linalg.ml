@@ -77,30 +77,6 @@ let lu_solve { lu; perm } b =
   done;
   x
 
-let lu_solve_t { lu; perm } b =
-  let n = Array.length lu in
-  let y = Array.copy b in
-  (* Solve U^T y' = b (forward, U^T is lower triangular). *)
-  for r = 0 to n - 1 do
-    let acc = ref y.(r) in
-    for c = 0 to r - 1 do
-      acc := !acc -. (lu.(c).(r) *. y.(c))
-    done;
-    y.(r) <- !acc /. lu.(r).(r)
-  done;
-  (* Solve L^T z = y' (backward, unit diagonal). *)
-  for r = n - 1 downto 0 do
-    let acc = ref y.(r) in
-    for c = r + 1 to n - 1 do
-      acc := !acc -. (lu.(c).(r) *. y.(c))
-    done;
-    y.(r) <- !acc
-  done;
-  (* Undo the row permutation: (P A)^T x = ... means x = P^T applied back. *)
-  let x = Array.make n 0.0 in
-  Array.iteri (fun i p -> x.(p) <- y.(i)) perm;
-  x
-
 let solve a b =
   let n = Array.length a in
   assert (n = Array.length b);

@@ -1,35 +1,17 @@
-(** Small dense linear algebra used by chunk-ratio allocation, the simplex
-    basis machinery's tests, and the profiler. *)
-
-type lu
-(** An LU factorization with partial pivoting ([P A = L U]).  Factor once,
-    then solve against many right-hand sides — including the transposed
-    system, which is how a simplex basis prices rows (btran) with the same
-    factors it uses for columns (ftran). *)
-
-val lu_factor : float array array -> lu option
-(** Factor a square matrix.  Returns [None] when it is (numerically)
-    singular.  The input is not modified. *)
-
-val lu_solve : lu -> float array -> float array
-(** [lu_solve f b] solves [A x = b] using the factors of [A]. *)
-
-val lu_solve_t : lu -> float array -> float array
-(** [lu_solve_t f b] solves [Aᵀ x = b] using the same factors. *)
+(** Small dense linear algebra for chunk-ratio allocation and the
+    profiler's link fits: LU solves with partial pivoting and normal-equation
+    least squares. *)
 
 val solve : float array array -> float array -> float array option
-(** [solve a b] solves [a x = b] via {!lu_factor}/{!lu_solve}.  Returns
-    [None] when [a] is (numerically) singular.  [a] and [b] are not
-    modified. *)
+(** [solve a b] solves [a x = b] by LU factorization with partial
+    pivoting.  Returns [None] when [a] is (numerically) singular.  [a] and
+    [b] are not modified. *)
 
 val lstsq : float array array -> float array -> float array option
 (** [lstsq a b] solves the least-squares problem [min ||a x - b||] via the
     normal equations; suitable for the small well-conditioned systems that
     arise in chunk allocation.  Returns [None] when the normal matrix is
     singular. *)
-
-val mat_vec : float array array -> float array -> float array
-(** Matrix-vector product. *)
 
 val residual : float array array -> float array -> float array -> float
 (** [residual a x b] is [max_i |(a x - b).(i)|]. *)

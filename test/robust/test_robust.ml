@@ -46,42 +46,27 @@ let test_budget_basic () =
   check Alcotest.bool "negative budget expired" true (Budget.expired dead);
   check (Alcotest.float 0.0) "expired remaining" 0.0 (Budget.remaining dead)
 
-let test_budget_cancel_and_sub () =
+let test_budget_sub () =
   let parent = Budget.create ~seconds:60.0 () in
   let child = Budget.sub parent in
   let narrowed = Budget.sub ~seconds:1.0 parent in
   check Alcotest.bool "sub deadline narrows" true
     (Budget.deadline narrowed < Budget.deadline parent);
   check Alcotest.bool "sub inherits deadline" true
-    (Budget.deadline child = Budget.deadline parent);
-  Budget.cancel parent;
-  check Alcotest.bool "cancel reaches sub child" true (Budget.cancelled child);
-  check Alcotest.bool "cancelled child expired" true (Budget.expired child);
-  check (Alcotest.float 0.0) "cancelled remaining" 0.0 (Budget.remaining child)
+    (Budget.deadline child = Budget.deadline parent)
 
+(* Sweep elements and per-class sub-solves are sibling sub-budgets: each
+   reports degradation on its own. *)
 let test_budget_marks () =
   let parent = Budget.create ~seconds:60.0 () in
-  let child = Budget.sub parent in
+  let child = Budget.sub parent and sibling = Budget.sub parent in
   Budget.mark_degraded child;
   check Alcotest.bool "child marked" true (Budget.degraded child);
   check Alcotest.bool "mark does not smear to parent" false
     (Budget.degraded parent);
+  check Alcotest.bool "sibling mark is local" false (Budget.degraded sibling);
   Budget.mark_degraded parent;
   check Alcotest.bool "parent marked" true (Budget.degraded parent)
-
-let test_budget_detach () =
-  let parent = Budget.create ~seconds:60.0 () in
-  let d = Budget.detach parent in
-  check Alcotest.bool "detach keeps deadline" true
-    (Budget.deadline d = Budget.deadline parent);
-  Budget.cancel d;
-  check Alcotest.bool "detached cancel is local" false
-    (Budget.cancelled parent);
-  Budget.mark_degraded d;
-  check Alcotest.bool "detached mark is local" false (Budget.degraded parent);
-  (* Detaching an already-cancelled budget starts cancelled. *)
-  let d2 = Budget.detach d in
-  check Alcotest.bool "detach seeds token state" true (Budget.cancelled d2)
 
 (* --- Faultpoint --------------------------------------------------------- *)
 
@@ -155,14 +140,14 @@ let test_milp_limit_with_incumbent () =
   check Alcotest.bool "optimal" true (opt.Milp.status = Milp.Optimal);
   check (Alcotest.float 1e-9) "x*" 1.0 opt.Milp.x.(0)
 
+(* A budget expired at creation stops the solve at its first check. *)
 let test_milp_cancelled_budget () =
-  let b = Budget.create ~seconds:60.0 () in
-  Budget.cancel b;
+  let b = Budget.create ~seconds:0.0 () in
   let r = Milp.solve ~budget:b (tiny_model ()) in
-  check Alcotest.bool "cancelled budget stops at Limit" true
+  check Alcotest.bool "expired budget stops at Limit" true
     (r.Milp.status = Milp.Limit);
   let r2 = Milp.solve ~budget:b ~incumbent:[| 1.0 |] (tiny_model ()) in
-  check Alcotest.bool "cancelled budget keeps incumbent" true
+  check Alcotest.bool "expired budget keeps incumbent" true
     (r2.Milp.status = Milp.Feasible)
 
 (* --- Epoch model refusal / incumbent round-trip ------------------------- *)
@@ -389,9 +374,8 @@ let test_fallback_schedules_validate () =
 let suite =
   [
     Alcotest.test_case "budget basics" `Quick test_budget_basic;
-    Alcotest.test_case "budget cancel + sub" `Quick test_budget_cancel_and_sub;
+    Alcotest.test_case "budget sub" `Quick test_budget_sub;
     Alcotest.test_case "budget marks" `Quick test_budget_marks;
-    Alcotest.test_case "budget detach" `Quick test_budget_detach;
     Alcotest.test_case "faultpoint arming" `Quick test_faultpoint_arming;
     Alcotest.test_case "faultpoint determinism" `Quick
       test_faultpoint_deterministic_extremes;
